@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the event core's scheduler primitives: calendar
 //! queue push/pop, the sorted-ring depth tracker, and arena alloc/free.
 //!
-//! These isolate the structures behind `perf_events` so a regression in
-//! the batched engine's throughput can be attributed: is the queue, the
+//! These isolate the structures behind the timed replay and the frontend
+//! drain so a throughput regression can be attributed: is the queue, the
 //! tracker or the arena slower, or is it the replay loop around them?
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

@@ -12,12 +12,11 @@
 //! * `--groups N`    independent 4-pool groups to average (default 3; the paper's 24 chips correspond to 6)
 //! * `--blocks N`    blocks per pool (default 1600)
 //! * `--pe-step N`   P/E sweep step for table experiments (default 1500)
-//! * `--engine E`    replay engine for `queueing`/`tenants`: `stepper` (default) or `batched` (bit-identical rows, faster)
 //! * `--gc MODE`     `tenants` collector: `off` (default; volume below the GC watermarks) or `on` (GC-active volume + sliced preemptive collection)
 //! * `--out DIR`     output directory (default `results`)
 
 use flash_model::{CellType, Geometry};
-use ftl::{EngineMode, GcBudget};
+use ftl::GcBudget;
 use repro_bench::experiments as exp;
 use repro_bench::report::{pct, us, TextTable};
 use repro_bench::runner::ExperimentParams;
@@ -28,7 +27,6 @@ struct Cli {
     params: ExperimentParams,
     out: PathBuf,
     quick: bool,
-    engine: EngineMode,
     gc: bool,
 }
 
@@ -39,21 +37,12 @@ fn parse_cli() -> Cli {
     let mut blocks = 1600u32;
     let mut pe_step = 1500u32;
     let mut quick = false;
-    let mut engine = EngineMode::Stepper;
     let mut gc = false;
     let mut out = PathBuf::from("results");
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => quick = true,
-            "--engine" => {
-                i += 1;
-                engine = match args[i].as_str() {
-                    "stepper" => EngineMode::Stepper,
-                    "batched" => EngineMode::Batched,
-                    other => panic!("--engine takes 'stepper' or 'batched', got {other:?}"),
-                };
-            }
             "--gc" => {
                 i += 1;
                 gc = match args[i].as_str() {
@@ -126,7 +115,7 @@ fn parse_cli() -> Cli {
         ..ExperimentParams::default()
     };
     params.config.geometry = Geometry::new(4, 1, blocks, 96, 4, CellType::Tlc);
-    Cli { commands, params, out, quick, engine, gc }
+    Cli { commands, params, out, quick, gc }
 }
 
 fn comparison_table(title: &str, r: &exp::ComparisonResult, out: &Path, file: &str) {
@@ -614,7 +603,7 @@ fn main() {
             // service time) so the serial and per-chip clocks separate.
             let geo = Geometry::new(4, 1, 48, 24, 4, CellType::Tlc);
             let writes = if cli.quick { 20_000 } else { 60_000 };
-            let rows = exp::queueing_experiment(&geo, writes, 7, 30.0, cli.engine);
+            let rows = exp::queueing_experiment(&geo, writes, 7, 30.0);
             let mut t = TextTable::new([
                 "Scheme",
                 "Model",
@@ -660,8 +649,7 @@ fn main() {
                 );
                 (if cli.quick { 1_200 } else { 2_000 }, GcBudget::Unbounded)
             };
-            let (rows, gc) =
-                exp::tenants_experiment(&geo, per_tenant, 7, 2500.0, cli.engine, budget);
+            let (rows, gc) = exp::tenants_experiment(&geo, per_tenant, 7, 2500.0, budget);
             let gc_label = if cli.gc { "on" } else { "off" };
             let mut t = TextTable::new([
                 "Scheme",

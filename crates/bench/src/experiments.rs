@@ -7,9 +7,9 @@ use crate::runner::{
 };
 use flash_model::{FlashArray, FlashConfig, Geometry, PwlLayer, StringId};
 use ftl::{
-    poisson_arrivals, EngineMode, FtlConfig, GcBudget, IntegrityConfig, IoOp, IoRequest,
-    LatencyHistogram, OrganizationScheme, ParityConfig, PatrolConfig, PatrolOrder, QosClass,
-    QueueModel, Ssd, Workload,
+    poisson_arrivals, FtlConfig, GcBudget, IntegrityConfig, IoOp, IoRequest, LatencyHistogram,
+    OrganizationScheme, ParityConfig, PatrolConfig, PatrolOrder, QosClass, QueueModel, Ssd,
+    Workload,
 };
 use host::{Arbitration, HostFrontend, TenantSpec};
 use pvcheck::assembly::Assembler;
@@ -427,10 +427,6 @@ pub struct QueueingRow {
 /// independent chips and must finish no later than the serial clock — and
 /// well before the sum of per-op service times once the device saturates.
 ///
-/// `engine` picks the replay engine; both produce bit-identical rows
-/// (that is the batched engine's contract), so the choice only moves
-/// wall-clock time.
-///
 /// # Panics
 ///
 /// Panics if the simulated device rejects the workload (an internal bug).
@@ -440,7 +436,6 @@ pub fn queueing_experiment(
     writes: usize,
     seed: u64,
     mean_gap_us: f64,
-    engine: EngineMode,
 ) -> Vec<QueueingRow> {
     let schemes = [
         OrganizationScheme::Random,
@@ -458,7 +453,6 @@ pub fn queueing_experiment(
                 },
                 scheme,
                 queue_model,
-                engine,
                 ..FtlConfig::small_test()
             };
             let mut ssd = Ssd::new(config, seed).expect("experiment config is valid");
@@ -570,9 +564,6 @@ pub struct GcActivity {
 /// per-tenant mean gap of `3 * mean_gap_us` (aggregate load matches a
 /// single stream at `mean_gap_us`).
 ///
-/// `engine` picks the replay engine; both produce bit-identical rows, so
-/// the choice only moves wall-clock time.
-///
 /// # Panics
 ///
 /// Panics if the simulated device rejects the workload (an internal bug).
@@ -582,7 +573,6 @@ pub fn tenants_experiment(
     writes_per_tenant: usize,
     seed: u64,
     mean_gap_us: f64,
-    engine: EngineMode,
     gc_budget: GcBudget,
 ) -> (Vec<TenantRow>, GcActivity) {
     const REPLICATES: u64 = 5;
@@ -602,7 +592,6 @@ pub fn tenants_experiment(
                     },
                     scheme,
                     queue_model: QueueModel::PerChip,
-                    engine,
                     // Collect in arrival gaps if the workload ever does
                     // outgrow the free pool.
                     idle_gc: true,
@@ -1306,13 +1295,12 @@ pub struct FleetRow {
 }
 
 /// The fleet device configuration: the GC-active sliced-collection shape
-/// of [`tenants_experiment`] on the batched engine, with the organization
+/// of [`tenants_experiment`], with the organization
 /// scheme as the swept axis.
 fn fleet_device_config(scheme: OrganizationScheme) -> FtlConfig {
     FtlConfig {
         scheme,
         queue_model: QueueModel::PerChip,
-        engine: EngineMode::Batched,
         idle_gc: true,
         gc_budget: GcBudget::Sliced { slice_us: 300.0 },
         // Same rationale as the sliced tenants cell: the sharded streams
@@ -1796,7 +1784,7 @@ mod tests {
     #[test]
     fn queueing_experiment_overlaps_chips() {
         let geo = Geometry::new(4, 1, 24, 8, 4, flash_model::CellType::Tlc);
-        let rows = queueing_experiment(&geo, 8_000, 7, 30.0, EngineMode::Stepper);
+        let rows = queueing_experiment(&geo, 8_000, 7, 30.0);
         assert_eq!(rows.len(), 6);
         for pair in rows.chunks(2) {
             let (single, per_chip) = (&pair[0], &pair[1]);

@@ -3,7 +3,7 @@
 //! Fleet-scale simulation: shards a deterministic multi-user workload —
 //! millions of logical users with Zipfian hot/cold footprints, burst
 //! trains and diurnal arrival modulation — across N simulated SSDs, and
-//! replays every device in parallel through the batched engine with the
+//! replays every device in parallel through the timed replay engine with the
 //! host frontend, per-tenant QoS and sliced GC all active.
 //!
 //! Two determinism contracts, both asserted by tests:

@@ -5,18 +5,15 @@
 //! refreshed on the spot — plus the usual worker-count determinism.
 
 use fleet::{run_fleet_soak, FleetConfig, FleetWorkload, SoakReport};
-use ftl::{
-    EngineMode, FtlConfig, GcBudget, IntegrityConfig, PatrolConfig, PatrolOrder, QueueModel,
-};
+use ftl::{FtlConfig, GcBudget, IntegrityConfig, PatrolConfig, PatrolOrder, QueueModel};
 use host::Arbitration;
 
-/// The determinism suite's GC-active batched device, with integrity
+/// The determinism suite's GC-active device, with integrity
 /// tracking, aggressive aging acceleration and the background scrubber on
 /// top — the full stack the soak is meant to exercise.
 fn aged_device_config() -> FtlConfig {
     let mut config = FtlConfig::small_test();
     config.queue_model = QueueModel::PerChip;
-    config.engine = EngineMode::Batched;
     config.idle_gc = true;
     config.gc_budget = GcBudget::Sliced { slice_us: 300.0 };
     config.overprovision = 0.45;

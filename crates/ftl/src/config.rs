@@ -217,14 +217,8 @@ pub struct FtlConfig {
     /// operations on other chips proceed. Untimed [`crate::Ssd::run`] is
     /// unaffected.
     pub queue_model: QueueModel,
-    /// Replay engine for [`crate::Ssd::run_timed`] and the host frontend.
-    /// `Stepper` (the default) is the original one-op-at-a-time loop and
-    /// stays byte-for-byte untouched; `Batched` drives the same request
-    /// sequence through the event-driven core (calendar-queue completion
-    /// tracking, batched admission, prefix-cached latency synthesis,
-    /// incremental checkpoints, struct-of-arrays stat accumulators folded at
-    /// `timed_end`). Every statistic the two engines produce is bit-identical
-    /// — the stepper is the batched engine's golden oracle.
+    /// No effect; kept so existing configs compile. Every timed replay runs
+    /// the one event-driven engine whichever [`EngineMode`] is named here.
     pub engine: EngineMode,
     /// Media fault injection (disabled by default: perfect media, and the
     /// read path skips its ECC consult entirely so results stay

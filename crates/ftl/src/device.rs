@@ -11,8 +11,7 @@ use crate::request::{IoOp, IoRequest};
 use crate::sched::DepthTracker;
 use crate::stats::SsdStats;
 use crate::timing::{
-    BatchedSamples, EngineMode, EngineState, InFlight, QueueModel, TimedOutcome, TouchLog,
-    CONTROLLER,
+    ChipClocks, Clock, QueueModel, ReplayState, TimedOutcome, TouchLog, CONTROLLER,
 };
 use crate::wear_level::WearTracker;
 use crate::Result;
@@ -73,19 +72,14 @@ pub struct Ssd {
     sb_seq: u64,
     /// SPOR machinery: crash countdown, journal, checkpoint, sequences.
     spor: SporState,
-    /// Clock state of an in-progress incremental timed replay
+    /// State of an in-progress incremental timed replay
     /// ([`Ssd::timed_begin`] … [`Ssd::timed_end`]); `None` outside one.
-    engine: Option<EngineState>,
-    /// True while a batched replay is live: the write/read paths skip their
-    /// per-op histogram `record` and the replay step collects the sample in
-    /// its struct-of-arrays accumulator instead (folded at `timed_end`).
-    defer_hist: bool,
-    /// Batched-engine checkpoint accelerator: `fast_ckpt[lpn]` mirrors the
-    /// OOB write sequence of the page `lpn` currently maps to, maintained
-    /// at `apply_assignments` time so `take_checkpoint` skips its per-page
-    /// OOB read. `Some` only when `engine = Batched` and SPOR is enabled;
-    /// checkpoint contents stay exactly equal to the stepper's.
-    fast_ckpt: Option<Vec<u64>>,
+    replay: Option<ReplayState>,
+    /// Checkpoint sequence table: `ckpt_seqs[lpn]` mirrors the OOB write
+    /// sequence of the page `lpn` currently maps to, maintained at
+    /// `apply_assignments` time so `take_checkpoint` reads sequences from
+    /// RAM instead of the spare area. `Some` only when SPOR is enabled.
+    ckpt_seqs: Option<Vec<u64>>,
     /// Partially collected victim parked between GC slices
     /// ([`GcBudget::Sliced`] only); `None` when no collection is mid-flight.
     gc_job: Option<GcJob>,
@@ -155,12 +149,8 @@ impl Ssd {
         if config.integrity.track {
             array.set_track_disturb(true);
         }
-        if config.engine == EngineMode::Batched {
-            // Bit-identical prefix memoization of program/erase synthesis;
-            // kept off under the stepper so the oracle stays on the original
-            // code path.
-            array.set_fast_latency(true);
-        }
+        // Bit-identical prefix memoization of program/erase synthesis.
+        array.set_fast_latency(true);
         let geo = array.geometry().clone();
         let physical_pages = geo.total_blocks() * u64::from(geo.pages_per_block());
         // Parity first, then over-provisioning: the parity reserve (one page
@@ -178,7 +168,9 @@ impl Ssd {
             manager.promote_known();
         }
         let spor = SporState::new(&config.spor);
-        let fast_ckpt = (config.engine == EngineMode::Batched && config.spor.enabled)
+        let ckpt_seqs = config
+            .spor
+            .enabled
             .then(|| vec![0u64; usize::try_from(logical_pages).expect("capacity fits usize")]);
         let birth_us = config
             .integrity
@@ -200,9 +192,8 @@ impl Ssd {
             seed,
             sb_seq: 0,
             spor,
-            engine: None,
-            defer_hist: false,
-            fast_ckpt,
+            replay: None,
+            ckpt_seqs,
             gc_job: None,
             gc_allowance_us: f64::INFINITY,
             birth_us,
@@ -214,8 +205,8 @@ impl Ssd {
 
     /// Swaps the page mapping for the original `HashMap`-backed reference
     /// implementation. Semantics are identical; per-block validity queries
-    /// go back to scanning every mapped page, which is exactly what the
-    /// before/after GC benchmarks (`perf_replay`, `benches/gc.rs`) measure.
+    /// go back to scanning every mapped page. It is the lockstep oracle of
+    /// the recovery tests and the `benches/gc.rs` baseline.
     ///
     /// # Panics
     ///
@@ -251,14 +242,6 @@ impl Ssd {
         self.manager.distance_checks()
     }
 
-    /// Which replay engine this device was configured with. External
-    /// dispatchers (the host frontend) use this to pick their matching
-    /// drain loop.
-    #[must_use]
-    pub fn engine(&self) -> EngineMode {
-        self.config.engine
-    }
-
     /// Executes an open-loop request stream with arrival times: recorded
     /// latencies include queueing delay, so GC pauses and slow superblocks
     /// show up in the tail percentiles. [`FtlConfig::queue_model`] selects
@@ -292,60 +275,42 @@ impl Ssd {
     /// between tenants) use the same API so their single-queue degenerate
     /// case is structurally identical to the serial replay.
     ///
-    /// Beginning a new replay while one is in progress resets the clocks.
+    /// Beginning a new replay while one is in progress first ends the live
+    /// one exactly as [`Ssd::timed_end`] would (its makespan and latency
+    /// samples are kept), then starts fresh clocks.
     pub fn timed_begin(&mut self) {
-        let engine = match (self.config.engine, self.config.queue_model) {
-            (EngineMode::Stepper, QueueModel::Single) => {
-                EngineState::Single { device_free_at: 0.0, in_flight: InFlight::default() }
-            }
-            (EngineMode::Stepper, QueueModel::PerChip) => {
+        self.timed_end();
+        let clock = match self.config.queue_model {
+            QueueModel::Single => Clock::Single(0.0),
+            QueueModel::PerChip => {
                 self.touches.set_enabled(true);
                 let groups = self.array.geometry().chip_plane_groups();
                 if self.stats.chip_busy_us.len() != groups + 1 {
                     self.stats.chip_busy_us = vec![0.0; groups + 1];
                 }
-                EngineState::PerChip {
-                    busy: vec![0.0f64; groups + 1],
-                    agg: vec![0.0f64; groups + 1],
-                    touched: Vec::with_capacity(groups + 1),
-                    buf: Vec::new(),
-                    in_flight: InFlight::default(),
-                    makespan: 0.0,
-                }
-            }
-            (EngineMode::Batched, QueueModel::Single) => {
-                self.defer_hist = true;
-                EngineState::BatchedSingle {
-                    device_free_at: 0.0,
-                    in_flight: DepthTracker::new(),
-                    samples: BatchedSamples::default(),
-                }
-            }
-            (EngineMode::Batched, QueueModel::PerChip) => {
-                self.defer_hist = true;
-                self.touches.set_enabled(true);
-                let groups = self.array.geometry().chip_plane_groups();
-                if self.stats.chip_busy_us.len() != groups + 1 {
-                    self.stats.chip_busy_us = vec![0.0; groups + 1];
-                }
-                EngineState::BatchedPerChip {
-                    busy: vec![0.0f64; groups + 1],
-                    agg: vec![0.0f64; groups + 1],
-                    touched: Vec::with_capacity(groups + 1),
-                    buf: Vec::new(),
-                    in_flight: DepthTracker::new(),
-                    makespan: 0.0,
-                    samples: BatchedSamples::default(),
-                }
+                Clock::PerChip(ChipClocks::new(groups))
             }
         };
-        self.engine = Some(engine);
+        self.replay = Some(ReplayState {
+            clock,
+            in_flight: DepthTracker::new(),
+            write_samples: Vec::new(),
+            read_samples: Vec::new(),
+        });
     }
 
     /// Executes one request of an incremental timed replay: the request
     /// arrives at `arrival` µs, waits for the device clocks per the
     /// configured queue model, and executes with its writes placed by
     /// `class`. Returns where the request landed on the clocks.
+    ///
+    /// Under `PerChip` the request starts once its arrival has passed and
+    /// every resource it touches (member chips of its flash commands, plus
+    /// the host channel for page transfers) is free; each touched resource
+    /// then stays busy for its own recorded duration, so fast member chips
+    /// free early and independent requests overlap. Host-visible latency
+    /// keeps the same wait + service shape as the `Single` model — only
+    /// the wait changes.
     ///
     /// Arrivals should be non-decreasing across calls (queue-depth
     /// accounting assumes it, like [`Ssd::run_timed`]'s sorted input).
@@ -373,502 +338,130 @@ impl Ssd {
         if arrival > wall {
             self.idle_wall_us += arrival - wall;
         }
-        let mut engine = self.engine.take().expect("timed_step requires timed_begin");
-        let result = match &mut engine {
-            EngineState::Single { device_free_at, in_flight } => {
-                self.timed_step_single(arrival, r, class, device_free_at, in_flight)
-            }
-            EngineState::PerChip { busy, agg, touched, buf, in_flight, makespan } => self
-                .timed_step_per_chip(
-                    arrival, r, class, busy, agg, touched, buf, in_flight, makespan,
-                ),
-            EngineState::BatchedSingle { device_free_at, in_flight, samples } => self
-                .timed_step_batched_single(arrival, r, class, device_free_at, in_flight, samples),
-            EngineState::BatchedPerChip {
-                busy,
-                agg,
-                touched,
-                buf,
-                in_flight,
-                makespan,
-                samples,
-            } => self.timed_step_batched_per_chip(
-                arrival, r, class, busy, agg, touched, buf, in_flight, makespan, samples,
-            ),
-        };
-        self.engine = Some(engine);
+        let mut replay = self.replay.take().expect("timed_step requires timed_begin");
+        let result = self.step_replay(&mut replay, arrival, r, class);
+        self.replay = Some(replay);
         result
     }
 
-    /// Finishes an incremental timed replay: folds the final clock state
-    /// into [`SsdStats::makespan_us`] and drops the engine. No-op when no
-    /// replay is in progress.
-    pub fn timed_end(&mut self) {
-        match self.engine.take() {
-            Some(EngineState::Single { device_free_at, .. }) => {
-                self.stats.makespan_us = self.stats.makespan_us.max(device_free_at);
-            }
-            Some(EngineState::PerChip { busy, makespan, .. }) => {
-                let busiest = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-                self.stats.makespan_us = self.stats.makespan_us.max(makespan.max(busiest));
-                self.touches.set_enabled(false);
-            }
-            Some(EngineState::BatchedSingle { device_free_at, samples, .. }) => {
-                self.stats.makespan_us = self.stats.makespan_us.max(device_free_at);
-                self.fold_samples(samples);
-            }
-            Some(EngineState::BatchedPerChip { busy, makespan, samples, .. }) => {
-                let busiest = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-                self.stats.makespan_us = self.stats.makespan_us.max(makespan.max(busiest));
-                self.touches.set_enabled(false);
-                self.fold_samples(samples);
-            }
-            None => {}
-        }
-    }
-
-    /// Folds a batched replay's struct-of-arrays latency samples into the
-    /// histograms (one bulk append per histogram, same values in the same
-    /// order the stepper would have recorded them) and re-arms per-op
-    /// recording.
-    fn fold_samples(&mut self, samples: BatchedSamples) {
-        self.stats.write_latency.extend(&samples.write);
-        self.stats.read_latency.extend(&samples.read);
-        self.defer_hist = false;
-    }
-
-    /// Upgrades the service-only latency sample of a timed request to the
-    /// queue-inclusive one and maintains the wait counters. Reads that miss
-    /// take zero service but the host still waited `wait` for the answer,
-    /// so that wait is recorded as a read latency sample; trim waits land in
-    /// [`SsdStats::trim_wait_us`] (trims record no histogram sample).
-    fn record_timed_latency(&mut self, op: IoOp, wait: f64, service: f64) {
-        self.stats.queue_wait_us += wait;
-        match op {
-            IoOp::Write => self.stats.write_latency.replace_last(wait + service),
-            IoOp::Read if service > 0.0 => {
-                self.stats.read_latency.replace_last(wait + service);
-            }
-            IoOp::Read => self.stats.read_latency.record(wait),
-            IoOp::Trim => self.stats.trim_wait_us += wait,
-        }
-    }
-
-    /// One step of the original scalar-clock replay: one device-wide
-    /// command queue.
-    fn timed_step_single(
+    fn step_replay(
         &mut self,
+        replay: &mut ReplayState,
         arrival: f64,
         r: IoRequest,
         class: QosClass,
-        device_free_at: &mut f64,
-        in_flight: &mut InFlight,
     ) -> Result<TimedOutcome> {
-        // Idle-time GC: use gaps before the next arrival to pre-free
-        // space, shrinking foreground pauses.
+        self.background_in_gap(&mut replay.clock, arrival)?;
+        let service = match r.op {
+            IoOp::Write => self.write_service(r.lpn, class)?,
+            IoOp::Read => self.read_service(r.lpn)?.unwrap_or(0.0),
+            IoOp::Trim => {
+                self.trim(r.lpn)?;
+                0.0
+            }
+        };
+        let start = match &mut replay.clock {
+            Clock::Single(device_free_at) => device_free_at.max(arrival),
+            Clock::PerChip(chips) => {
+                chips.occupy(&mut self.touches, &mut self.stats.chip_busy_us, arrival)
+            }
+        };
+        let wait = start - arrival;
+        let completion = start + service;
+        // The queue-inclusive latency is the histogram sample. Reads that miss take zero service but the host still waited
+        // `wait` for the answer, so that wait is the sample; trim waits
+        // land in `trim_wait_us` (trims record no histogram sample).
+        self.stats.queue_wait_us += wait;
+        match r.op {
+            IoOp::Write => replay.write_samples.push(wait + service),
+            IoOp::Read if service > 0.0 => replay.read_samples.push(wait + service),
+            IoOp::Read => replay.read_samples.push(wait),
+            IoOp::Trim => self.stats.trim_wait_us += wait,
+        }
+        let depth = replay.in_flight.arrive(arrival) as u64 + 1;
+        self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
+        replay.in_flight.complete_at(completion);
+        match &mut replay.clock {
+            Clock::Single(device_free_at) => *device_free_at = completion,
+            Clock::PerChip(chips) => chips.makespan = chips.makespan.max(completion),
+        }
+        Ok(TimedOutcome {
+            wait_us: wait,
+            service_us: service,
+            start_us: start,
+            completion_us: completion,
+        })
+    }
+
+    /// Background work in the idle gap before `arrival`: idle-time GC
+    /// pre-frees space (shrinking foreground pauses), then patrol scrubbing
+    /// rides whatever gap is left. Each piece of work is booked on the
+    /// clock — the scalar clock advances by its duration; per-chip clocks
+    /// charge only the groups it touched — and accounted in `idle_gc_us` or
+    /// `patrol_us` rather than foreground utilization.
+    fn background_in_gap(&mut self, clock: &mut Clock, arrival: f64) -> Result<()> {
         if self.config.idle_gc {
             match self.config.gc_budget {
                 GcBudget::Unbounded => {
-                    while *device_free_at < arrival
+                    while clock.now() < arrival
                         && self.manager.assemblable() < self.config.gc_high_watermark
                     {
-                        match self.gc_once()? {
-                            Some(t) => {
-                                *device_free_at += t;
-                                // Background work: accounted separately so
-                                // utilization reflects foreground service
-                                // only.
-                                self.stats.idle_gc_us += t;
-                            }
-                            None => break,
-                        }
+                        let Some(t) = self.gc_once()? else { break };
+                        self.stats.idle_gc_us += t;
+                        self.book_background(clock, t);
                     }
                 }
                 GcBudget::Sliced { .. } => {
                     // The whole idle gap is the budget; the slice parks the
                     // victim when the gap runs out.
-                    if *device_free_at < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
-                    {
-                        let t = self.gc_slice(arrival - *device_free_at)?;
-                        if t > 0.0 {
-                            *device_free_at += t;
-                            self.stats.idle_gc_us += t;
-                        }
-                    }
-                }
-            }
-        }
-        // Patrol scrubbing rides whatever idle gap is left after GC.
-        if *device_free_at < arrival && self.patrol_due() {
-            let t = self.patrol_slice(arrival - *device_free_at)?;
-            if t > 0.0 {
-                *device_free_at += t;
-                self.stats.patrol_us += t;
-            }
-        }
-        let start = device_free_at.max(arrival);
-        let wait = start - arrival;
-        let service = match r.op {
-            IoOp::Write => self.write_with_class(r.lpn, class)?,
-            IoOp::Read => self.read(r.lpn)?.unwrap_or(0.0),
-            IoOp::Trim => {
-                self.trim(r.lpn)?;
-                0.0
-            }
-        };
-        self.record_timed_latency(r.op, wait, service);
-        let depth = in_flight.arrive(arrival) as u64 + 1;
-        self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
-        *device_free_at = start + service;
-        in_flight.complete_at(*device_free_at);
-        Ok(TimedOutcome {
-            wait_us: wait,
-            service_us: service,
-            start_us: start,
-            completion_us: *device_free_at,
-        })
-    }
-
-    /// One step of the event-driven replay with per-chip busy-until clocks:
-    /// the request starts once its arrival has passed and every resource it
-    /// touches (member chips of its flash commands, plus the host channel
-    /// for page transfers) is free; each touched resource then stays busy
-    /// for its own recorded duration, so fast member chips free early and
-    /// independent requests overlap. Host-visible latency keeps the same
-    /// wait + service shape as the `Single` model — only the wait changes.
-    #[allow(clippy::too_many_arguments)]
-    fn timed_step_per_chip(
-        &mut self,
-        arrival: f64,
-        r: IoRequest,
-        class: QosClass,
-        busy: &mut [f64],
-        agg: &mut [f64],
-        touched: &mut Vec<usize>,
-        buf: &mut Vec<(usize, f64)>,
-        in_flight: &mut InFlight,
-        makespan: &mut f64,
-    ) -> Result<TimedOutcome> {
-        let groups = busy.len() - 1;
-        if self.config.idle_gc {
-            match self.config.gc_budget {
-                GcBudget::Unbounded => {
-                    // A gap exists when every clock runs out before the next
-                    // arrival; background GC then charges only the groups it
-                    // actually touches.
-                    while busy.iter().fold(0.0f64, |a, &b| a.max(b)) < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
-                    {
-                        match self.gc_once()? {
-                            Some(t) => {
-                                self.stats.idle_gc_us += t;
-                                self.touches.take_into(buf);
-                                Self::aggregate_touches(buf, groups, agg, touched);
-                                let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                                for &g in touched.iter() {
-                                    busy[g] = start + agg[g];
-                                    self.stats.chip_busy_us[g] += agg[g];
-                                    agg[g] = 0.0;
-                                }
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                GcBudget::Sliced { .. } => {
-                    let now = busy.iter().fold(0.0f64, |a, &b| a.max(b));
+                    let now = clock.now();
                     if now < arrival && self.manager.assemblable() < self.config.gc_high_watermark {
                         let t = self.gc_slice(arrival - now)?;
                         if t > 0.0 {
                             self.stats.idle_gc_us += t;
-                            self.touches.take_into(buf);
-                            Self::aggregate_touches(buf, groups, agg, touched);
-                            let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                            for &g in touched.iter() {
-                                busy[g] = start + agg[g];
-                                self.stats.chip_busy_us[g] += agg[g];
-                                agg[g] = 0.0;
-                            }
+                            self.book_background(clock, t);
                         }
                     }
                 }
             }
         }
-        // Patrol scrubbing rides whatever idle gap is left after GC,
-        // charging only the chip/plane groups its reads and refresh
-        // programs actually touch.
-        {
-            let now = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-            if now < arrival && self.patrol_due() {
-                let t = self.patrol_slice(arrival - now)?;
-                if t > 0.0 {
-                    self.stats.patrol_us += t;
-                    self.touches.take_into(buf);
-                    Self::aggregate_touches(buf, groups, agg, touched);
-                    let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                    for &g in touched.iter() {
-                        busy[g] = start + agg[g];
-                        self.stats.chip_busy_us[g] += agg[g];
-                        agg[g] = 0.0;
-                    }
-                }
-            }
-        }
-        let service = match r.op {
-            IoOp::Write => self.write_with_class(r.lpn, class)?,
-            IoOp::Read => self.read(r.lpn)?.unwrap_or(0.0),
-            IoOp::Trim => {
-                self.trim(r.lpn)?;
-                0.0
-            }
-        };
-        self.touches.take_into(buf);
-        Self::aggregate_touches(buf, groups, agg, touched);
-        let start = touched.iter().fold(arrival, |a, &g| a.max(busy[g]));
-        let wait = start - arrival;
-        for &g in touched.iter() {
-            busy[g] = start + agg[g];
-            self.stats.chip_busy_us[g] += agg[g];
-            agg[g] = 0.0;
-        }
-        self.record_timed_latency(r.op, wait, service);
-        let depth = in_flight.arrive(arrival) as u64 + 1;
-        self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
-        let completion = start + service;
-        in_flight.complete_at(completion);
-        *makespan = makespan.max(completion);
-        Ok(TimedOutcome {
-            wait_us: wait,
-            service_us: service,
-            start_us: start,
-            completion_us: completion,
-        })
-    }
-
-    /// Deferred twin of [`Ssd::record_timed_latency`]: scalar wait counters
-    /// update inline (their running-sum order must match the stepper's), but
-    /// the histogram sample lands in the replay's struct-of-arrays
-    /// accumulator instead of the histogram — the write/read paths skipped
-    /// their `record` under [`Ssd::defer_hist`], so pushing the final
-    /// queue-inclusive value here reproduces the stepper's
-    /// `record`-then-`replace_last` sequence exactly.
-    fn record_timed_latency_deferred(
-        &mut self,
-        op: IoOp,
-        wait: f64,
-        service: f64,
-        samples: &mut BatchedSamples,
-    ) {
-        self.stats.queue_wait_us += wait;
-        match op {
-            IoOp::Write => samples.write.push(wait + service),
-            IoOp::Read if service > 0.0 => samples.read.push(wait + service),
-            IoOp::Read => samples.read.push(wait),
-            IoOp::Trim => self.stats.trim_wait_us += wait,
-        }
-    }
-
-    /// One step of the batched scalar-clock replay. The clock arithmetic is
-    /// the stepper's ([`Ssd::timed_step_single`]) operation for operation;
-    /// only the bookkeeping around it changes (calendar-queue completions,
-    /// deferred histogram samples), so every stat folds out bit-identical.
-    fn timed_step_batched_single(
-        &mut self,
-        arrival: f64,
-        r: IoRequest,
-        class: QosClass,
-        device_free_at: &mut f64,
-        in_flight: &mut DepthTracker,
-        samples: &mut BatchedSamples,
-    ) -> Result<TimedOutcome> {
-        if self.config.idle_gc {
-            match self.config.gc_budget {
-                GcBudget::Unbounded => {
-                    while *device_free_at < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
-                    {
-                        match self.gc_once()? {
-                            Some(t) => {
-                                *device_free_at += t;
-                                self.stats.idle_gc_us += t;
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                GcBudget::Sliced { .. } => {
-                    if *device_free_at < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
-                    {
-                        let t = self.gc_slice(arrival - *device_free_at)?;
-                        if t > 0.0 {
-                            *device_free_at += t;
-                            self.stats.idle_gc_us += t;
-                        }
-                    }
-                }
-            }
-        }
-        // Patrol scrubbing rides whatever idle gap is left after GC —
-        // identical clock arithmetic to the stepper's hook.
-        if *device_free_at < arrival && self.patrol_due() {
-            let t = self.patrol_slice(arrival - *device_free_at)?;
+        let now = clock.now();
+        if now < arrival && self.patrol_due() {
+            let t = self.patrol_slice(arrival - now)?;
             if t > 0.0 {
-                *device_free_at += t;
                 self.stats.patrol_us += t;
+                self.book_background(clock, t);
             }
         }
-        let start = device_free_at.max(arrival);
-        let wait = start - arrival;
-        let service = match r.op {
-            IoOp::Write => self.write_with_class(r.lpn, class)?,
-            IoOp::Read => self.read(r.lpn)?.unwrap_or(0.0),
-            IoOp::Trim => {
-                self.trim(r.lpn)?;
-                0.0
-            }
-        };
-        self.record_timed_latency_deferred(r.op, wait, service, samples);
-        let depth = in_flight.arrive(arrival) as u64 + 1;
-        self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
-        *device_free_at = start + service;
-        in_flight.complete_at(*device_free_at);
-        Ok(TimedOutcome {
-            wait_us: wait,
-            service_us: service,
-            start_us: start,
-            completion_us: *device_free_at,
-        })
+        Ok(())
     }
 
-    /// One step of the batched per-chip replay; clock math mirrors
-    /// [`Ssd::timed_step_per_chip`] exactly (including the direct per-op
-    /// `chip_busy_us` adds — folding those at `timed_end` would reassociate
-    /// the float sums and change bits).
-    #[allow(clippy::too_many_arguments)]
-    fn timed_step_batched_per_chip(
-        &mut self,
-        arrival: f64,
-        r: IoRequest,
-        class: QosClass,
-        busy: &mut [f64],
-        agg: &mut [f64],
-        touched: &mut Vec<usize>,
-        buf: &mut Vec<(usize, f64)>,
-        in_flight: &mut DepthTracker,
-        makespan: &mut f64,
-        samples: &mut BatchedSamples,
-    ) -> Result<TimedOutcome> {
-        let groups = busy.len() - 1;
-        if self.config.idle_gc {
-            match self.config.gc_budget {
-                GcBudget::Unbounded => {
-                    while busy.iter().fold(0.0f64, |a, &b| a.max(b)) < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
-                    {
-                        match self.gc_once()? {
-                            Some(t) => {
-                                self.stats.idle_gc_us += t;
-                                self.touches.take_into(buf);
-                                Self::aggregate_touches(buf, groups, agg, touched);
-                                let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                                for &g in touched.iter() {
-                                    busy[g] = start + agg[g];
-                                    self.stats.chip_busy_us[g] += agg[g];
-                                    agg[g] = 0.0;
-                                }
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                GcBudget::Sliced { .. } => {
-                    let now = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-                    if now < arrival && self.manager.assemblable() < self.config.gc_high_watermark {
-                        let t = self.gc_slice(arrival - now)?;
-                        if t > 0.0 {
-                            self.stats.idle_gc_us += t;
-                            self.touches.take_into(buf);
-                            Self::aggregate_touches(buf, groups, agg, touched);
-                            let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                            for &g in touched.iter() {
-                                busy[g] = start + agg[g];
-                                self.stats.chip_busy_us[g] += agg[g];
-                                agg[g] = 0.0;
-                            }
-                        }
-                    }
-                }
+    /// Books `t` µs of background work on the replay clock.
+    fn book_background(&mut self, clock: &mut Clock, t: f64) {
+        match clock {
+            Clock::Single(device_free_at) => *device_free_at += t,
+            Clock::PerChip(chips) => {
+                chips.occupy(&mut self.touches, &mut self.stats.chip_busy_us, 0.0);
             }
         }
-        // Patrol scrubbing rides whatever idle gap is left after GC —
-        // identical clock arithmetic to the stepper's per-chip hook.
-        {
-            let now = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-            if now < arrival && self.patrol_due() {
-                let t = self.patrol_slice(arrival - now)?;
-                if t > 0.0 {
-                    self.stats.patrol_us += t;
-                    self.touches.take_into(buf);
-                    Self::aggregate_touches(buf, groups, agg, touched);
-                    let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                    for &g in touched.iter() {
-                        busy[g] = start + agg[g];
-                        self.stats.chip_busy_us[g] += agg[g];
-                        agg[g] = 0.0;
-                    }
-                }
-            }
-        }
-        let service = match r.op {
-            IoOp::Write => self.write_with_class(r.lpn, class)?,
-            IoOp::Read => self.read(r.lpn)?.unwrap_or(0.0),
-            IoOp::Trim => {
-                self.trim(r.lpn)?;
-                0.0
-            }
-        };
-        self.touches.take_into(buf);
-        Self::aggregate_touches(buf, groups, agg, touched);
-        let start = touched.iter().fold(arrival, |a, &g| a.max(busy[g]));
-        let wait = start - arrival;
-        for &g in touched.iter() {
-            busy[g] = start + agg[g];
-            self.stats.chip_busy_us[g] += agg[g];
-            agg[g] = 0.0;
-        }
-        self.record_timed_latency_deferred(r.op, wait, service, samples);
-        let depth = in_flight.arrive(arrival) as u64 + 1;
-        self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
-        let completion = start + service;
-        in_flight.complete_at(completion);
-        *makespan = makespan.max(completion);
-        Ok(TimedOutcome {
-            wait_us: wait,
-            service_us: service,
-            start_us: start,
-            completion_us: completion,
-        })
     }
 
-    /// Folds raw touch-log entries into per-group occupancy: `agg[g]` gets
-    /// the summed duration and `touched` lists each group once. `CONTROLLER`
-    /// touches map to slot `groups`.
-    fn aggregate_touches(
-        buf: &[(usize, f64)],
-        groups: usize,
-        agg: &mut [f64],
-        touched: &mut Vec<usize>,
-    ) {
-        touched.clear();
-        for &(g, d) in buf {
-            let g = if g == CONTROLLER { groups } else { g };
-            if !touched.contains(&g) {
-                touched.push(g);
+    /// Finishes an incremental timed replay: folds the final clock state
+    /// into [`SsdStats::makespan_us`], appends the replay's latency samples
+    /// to the histograms (same values, same order as per-op records) and
+    /// drops the replay state. No-op when no replay is in progress.
+    pub fn timed_end(&mut self) {
+        let Some(replay) = self.replay.take() else { return };
+        let makespan = match replay.clock {
+            Clock::Single(device_free_at) => device_free_at,
+            Clock::PerChip(chips) => {
+                self.touches.set_enabled(false);
+                chips.makespan.max(chips.busy.iter().fold(0.0f64, |a, &b| a.max(b)))
             }
-            agg[g] += d;
-        }
+        };
+        self.stats.makespan_us = self.stats.makespan_us.max(makespan);
+        self.stats.write_latency.extend(&replay.write_samples);
+        self.stats.read_latency.extend(&replay.read_samples);
     }
 
     /// Executes a request stream.
@@ -956,6 +549,14 @@ impl Ssd {
     ///
     /// Returns [`FtlError::LpnOutOfRange`] or [`FtlError::OutOfSpace`].
     pub fn write_with_class(&mut self, lpn: u64, class: QosClass) -> Result<f64> {
+        let latency = self.write_service(lpn, class)?;
+        self.stats.write_latency.record(latency);
+        Ok(latency)
+    }
+
+    /// The write path without its histogram sample: a timed replay records
+    /// the queue-inclusive latency instead.
+    fn write_service(&mut self, lpn: u64, class: QosClass) -> Result<f64> {
         self.ensure_powered()?;
         self.check_lpn(lpn)?;
         self.touch_controller(self.config.transfer_us);
@@ -973,9 +574,6 @@ impl Ssd {
         latency += self.stage_write(lpn, Purpose::Host(class))?;
         self.stats.host_writes += 1;
         self.stats.host_writes_by_class[class.index()] += 1;
-        if !self.defer_hist {
-            self.stats.write_latency.record(latency);
-        }
         self.stats.busy_us += latency;
         self.maybe_checkpoint()?;
         Ok(latency)
@@ -988,6 +586,16 @@ impl Ssd {
     ///
     /// Returns [`FtlError::LpnOutOfRange`] for out-of-range pages.
     pub fn read(&mut self, lpn: u64) -> Result<Option<f64>> {
+        let latency = self.read_service(lpn)?;
+        if let Some(us) = latency {
+            self.stats.read_latency.record(us);
+        }
+        Ok(latency)
+    }
+
+    /// The read path without its histogram sample (see
+    /// [`Ssd::write_service`]).
+    fn read_service(&mut self, lpn: u64) -> Result<Option<f64>> {
         self.ensure_powered()?;
         self.check_lpn(lpn)?;
         // Serve from the staging buffers first (write-back cache).
@@ -1057,9 +665,6 @@ impl Ssd {
             }
         };
         self.stats.host_reads += 1;
-        if !self.defer_hist {
-            self.stats.read_latency.record(latency);
-        }
         self.stats.busy_us += latency;
         // Refresh relocations on the fault path may have programmed.
         self.maybe_checkpoint()?;
@@ -1499,7 +1104,7 @@ impl Ssd {
                 // refresh alike.
                 birth[usize::try_from(lpn).expect("lpn fits usize")] = clock;
             }
-            if let Some(table) = &mut self.fast_ckpt {
+            if let Some(table) = &mut self.ckpt_seqs {
                 // Mirror the page's OOB write sequence so the next
                 // checkpoint reads it from RAM instead of the spare area.
                 // The table exists only when SPOR is on, so the OOB was
@@ -1652,9 +1257,8 @@ impl Ssd {
     /// plus idle wall time credited by timed replays (retention charge
     /// leaks whether or not the device is working, so an idle device still
     /// ages its data — and background scrubbing merely *uses* idle time
-    /// rather than extending the clock). Monotone, simulated (never
-    /// host wall-clock), and accumulated identically by the stepper and
-    /// batched engines, so ages — and therefore every integrity decision —
+    /// rather than extending the clock). Monotone and simulated (never
+    /// host wall-clock), so ages — and therefore every integrity decision —
     /// replay bit-identically.
     pub fn device_clock_us(&self) -> f64 {
         self.stats.busy_us + self.stats.idle_gc_us + self.stats.patrol_us + self.idle_wall_us
@@ -2094,16 +1698,11 @@ impl Ssd {
     /// clears the journal. Costs zero simulated time and zero RNG draws, so
     /// checkpointing never perturbs latency results.
     fn take_checkpoint(&mut self) -> Result<()> {
+        let seqs = self.ckpt_seqs.as_ref().expect("checkpoints run only with SPOR enabled");
         let mut entries = Vec::new();
         for lpn in 0..self.logical_pages {
             if let Some(ppa) = self.mapping.lookup(lpn) {
-                // The batched engine's sequence table mirrors the OOB at
-                // apply_assignments time; reading it back here produces the
-                // exact entries the OOB scan would.
-                let seq = match &self.fast_ckpt {
-                    Some(table) => table[usize::try_from(lpn).expect("lpn fits usize")],
-                    None => self.array.read_oob(ppa)?.seq,
-                };
+                let seq = seqs[usize::try_from(lpn).expect("lpn fits usize")];
                 entries.push((lpn, seq, Some(ppa)));
             } else if let Some(&seq) = self.spor.trim_seqs.get(&lpn) {
                 entries.push((lpn, seq, None));
@@ -2367,18 +1966,17 @@ impl Ssd {
             self.wear.set_erases(addr, self.array.pe_cycles(addr)?);
         }
         // Recovery rebuilt the mapping without going through
-        // apply_assignments, so the batched engine's sequence table must be
+        // apply_assignments, so the checkpoint sequence table must be
         // refreshed from the recovered pages' OOB before the checkpoint
         // below trusts it.
-        if self.fast_ckpt.is_some() {
-            let mut table = self.fast_ckpt.take().expect("checked is_some");
+        if let Some(mut table) = self.ckpt_seqs.take() {
             for lpn in 0..self.logical_pages {
                 if let Some(ppa) = self.mapping.lookup(lpn) {
                     table[usize::try_from(lpn).expect("lpn fits usize")] =
                         self.array.read_oob(ppa)?.seq;
                 }
             }
-            self.fast_ckpt = Some(table);
+            self.ckpt_seqs = Some(table);
         }
         // 8. Back to life: sequences continue past everything ever durably
         // assigned, and a fresh checkpoint bounds the next recovery's scan.

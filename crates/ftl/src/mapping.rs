@@ -10,9 +10,9 @@
 //!   range, so garbage collection stops rescanning the whole device.
 //! * **Naive** ([`Mapping::new_naive`]) — the original `HashMap`-backed
 //!   reverse map whose per-block queries scan every mapped page. Retained as
-//!   the reference implementation for oracle tests and the before/after
-//!   benchmarks (`perf_replay`, `benches/gc.rs`); both stores make identical
-//!   decisions, the dense one just answers in O(1).
+//!   the reference implementation for the lockstep oracle tests and the
+//!   `benches/gc.rs` microbench; both stores make identical decisions, the
+//!   dense one just answers in O(1).
 
 use flash_model::{BlockAddr, Geometry, PageAddr};
 use std::collections::HashMap;

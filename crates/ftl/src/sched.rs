@@ -1,5 +1,5 @@
-//! Event-core primitives for the batched replay engine
-//! ([`crate::EngineMode::Batched`]).
+//! Event-core primitives for the timed replay ([`crate::Ssd::timed_step`])
+//! and the host frontend's drain.
 //!
 //! Two allocation-free building blocks live here:
 //!
@@ -297,7 +297,7 @@ impl CalendarQueue {
     }
 
     /// Retires events with `time <= arrival`; returns how many remain
-    /// queued. Drop-in for the heap-based depth tracker's `arrive`.
+    /// queued (the same contract as [`DepthTracker::arrive`]).
     ///
     /// It fuses peek and pop into a single rotation scan per retired event
     /// and memoizes the cursor at the minimum's day even when nothing
@@ -587,7 +587,7 @@ mod tests {
 
     #[test]
     fn calendar_depth_tracker_matches_heap_semantics() {
-        // Mirrors timing.rs::in_flight_depth_tracks_overlapping_requests.
+        // The depth sequence a binary heap of completion times would give.
         let mut q = CalendarQueue::new();
         assert_eq!(q.arrive(0.0), 0);
         q.complete_at(10.0);
@@ -599,7 +599,7 @@ mod tests {
 
     #[test]
     fn depth_tracker_matches_heap_semantics() {
-        // Mirrors timing.rs::in_flight_depth_tracks_overlapping_requests.
+        // The depth sequence a binary heap of completion times would give.
         let mut q = DepthTracker::new();
         assert_eq!(q.arrive(0.0), 0);
         q.complete_at(10.0);

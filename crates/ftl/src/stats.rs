@@ -7,8 +7,8 @@ use std::sync::OnceLock;
 ///
 /// Quantile queries sort lazily and cache the sorted order; the cache is
 /// invalidated by [`LatencyHistogram::record`] and
-/// [`LatencyHistogram::replace_last`], so repeated queries between
-/// insertions cost one sort total instead of one sort each.
+/// [`LatencyHistogram::extend`], so repeated queries between insertions
+/// cost one sort total instead of one sort each.
 ///
 /// ```
 /// use ftl::LatencyHistogram;
@@ -41,19 +41,9 @@ impl LatencyHistogram {
         self.samples_us.push(us);
     }
 
-    /// Replaces the most recent sample (used to upgrade a service-time
-    /// sample to a queue-inclusive one); no-op when empty.
-    pub fn replace_last(&mut self, us: f64) {
-        if let Some(last) = self.samples_us.last_mut() {
-            *last = us;
-            self.sorted.take();
-        }
-    }
-
     /// Appends a batch of samples in order, invalidating the sorted cache
-    /// once for the whole batch. The struct-of-arrays accumulators of the
-    /// batched replay engine collect per-op samples in plain `Vec<f64>`s and
-    /// fold them in here at `timed_end`; appending the same values in the
+    /// once for the whole batch. A timed replay collects its per-op samples
+    /// in plain `Vec<f64>`s and folds them in here at `timed_end`; appending the same values in the
     /// same order as per-op [`LatencyHistogram::record`] calls leaves the
     /// sample vector — and therefore every mean/quantile/max — bit-identical.
     pub fn extend(&mut self, samples_us: &[f64]) {
@@ -460,17 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_last_swaps_newest_sample() {
-        let mut h = LatencyHistogram::new();
-        h.record(5.0);
-        h.replace_last(9.0);
-        assert_eq!(h.max_us(), 9.0);
-        let mut empty = LatencyHistogram::new();
-        empty.replace_last(1.0); // must not panic
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn repeated_quantile_queries_agree_with_one_shot_values() {
         // Interleave queries with mutations: every answer must match a
         // freshly sorted histogram (the cache may never serve stale order).
@@ -492,8 +471,8 @@ mod tests {
                 assert_eq!(b, expect, "repeat query q={q}");
             }
         }
-        // replace_last must also invalidate the cached order.
-        h.replace_last(0.5);
+        // extend must also invalidate the cached order.
+        h.extend(&[0.5]);
         assert_eq!(h.quantile_us(0.0), 0.5);
         assert_eq!(h.quantile_us(0.0), 0.5);
     }

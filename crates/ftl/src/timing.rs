@@ -16,6 +16,8 @@
 //! log into per-group occupancy. The log is disabled outside `PerChip`
 //! replays so the `Single` path stays untouched.
 
+use crate::sched::DepthTracker;
+
 /// Which timing model [`crate::Ssd::run_timed`] uses. See the
 /// [module docs](self) for the two models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -27,32 +29,17 @@ pub enum QueueModel {
     PerChip,
 }
 
-/// Which replay engine drives timed replays (orthogonal to [`QueueModel`]:
-/// both engines implement both queue models).
+/// Replay engine selector, kept so existing configurations compile.
 ///
-/// `Stepper` is the original per-op loop, kept untouched as the golden
-/// oracle; `Batched` is the event-driven core (see [`crate::sched`]) whose
-/// entire stat set is asserted bit-identical to the stepper's.
+/// It has no effect: every timed replay runs the one event-driven core
+/// (see [`crate::sched`]), whichever variant a configuration names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
-    /// Original one-op-at-a-time replay loop (golden oracle).
+    /// No effect.
     #[default]
     Stepper,
-    /// Event-driven core: calendar-queue completion tracking, batched
-    /// admission, prefix-cached latency synthesis, incremental checkpoints,
-    /// SoA stat accumulators folded at `timed_end`.
+    /// No effect.
     Batched,
-}
-
-impl EngineMode {
-    /// Short machine-readable label (used in CSV output and CLI flags).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineMode::Stepper => "stepper",
-            EngineMode::Batched => "batched",
-        }
-    }
 }
 
 /// Sentinel group index for the host channel/controller resource (page
@@ -76,81 +63,98 @@ pub struct TimedOutcome {
     pub completion_us: f64,
 }
 
-/// Live clock state of an in-progress timed replay — one variant per
-/// [`QueueModel`]. Created by [`crate::Ssd::timed_begin`], advanced by
-/// [`crate::Ssd::timed_step`], folded into the stats by
-/// [`crate::Ssd::timed_end`].
+/// Live state of an in-progress timed replay. Created by
+/// [`crate::Ssd::timed_begin`], advanced by [`crate::Ssd::timed_step`],
+/// folded into the stats by [`crate::Ssd::timed_end`].
 #[derive(Debug)]
-pub(crate) enum EngineState {
-    /// One scalar device-wide clock.
-    Single {
-        /// When the single command queue drains.
-        device_free_at: f64,
-        /// Open-loop depth tracker.
-        in_flight: InFlight,
-    },
-    /// Per chip/plane group busy-until clocks plus the host channel.
-    PerChip {
-        /// Busy-until clock per group; the last slot is the controller.
-        busy: Vec<f64>,
-        /// Scratch: summed occupancy per group for the current request.
-        agg: Vec<f64>,
-        /// Scratch: groups the current request touched.
-        touched: Vec<usize>,
-        /// Scratch: raw touch-log entries.
-        buf: Vec<(usize, f64)>,
-        /// Open-loop depth tracker.
-        in_flight: InFlight,
-        /// Latest completion seen so far.
-        makespan: f64,
-    },
-    /// Event-driven scalar clock ([`EngineMode::Batched`] +
-    /// [`QueueModel::Single`]): same math as `Single`, but completions live
-    /// in a sorted-ring depth tracker and latency samples defer to SoA
-    /// accumulators.
-    BatchedSingle {
-        /// When the single command queue drains.
-        device_free_at: f64,
-        /// Sorted-ring completion tracker (same counts as [`InFlight`]).
-        in_flight: crate::sched::DepthTracker,
-        /// Deferred latency samples, folded into the histograms at
-        /// `timed_end`.
-        samples: BatchedSamples,
-    },
-    /// Event-driven per-chip clocks ([`EngineMode::Batched`] +
-    /// [`QueueModel::PerChip`]).
-    BatchedPerChip {
-        /// Busy-until clock per group; the last slot is the controller.
-        busy: Vec<f64>,
-        /// Scratch: summed occupancy per group for the current request.
-        agg: Vec<f64>,
-        /// Scratch: groups the current request touched.
-        touched: Vec<usize>,
-        /// Scratch: raw touch-log entries.
-        buf: Vec<(usize, f64)>,
-        /// Sorted-ring completion tracker (same counts as [`InFlight`]).
-        in_flight: crate::sched::DepthTracker,
-        /// Latest completion seen so far.
-        makespan: f64,
-        /// Deferred latency samples, folded into the histograms at
-        /// `timed_end`.
-        samples: BatchedSamples,
-    },
+pub(crate) struct ReplayState {
+    /// The device clocks of the configured [`QueueModel`].
+    pub(crate) clock: Clock,
+    /// Open-loop queue-depth tracker.
+    pub(crate) in_flight: DepthTracker,
+    /// Queue-inclusive write latencies, in write order; folded into the
+    /// write histogram in one `extend` at `timed_end`.
+    pub(crate) write_samples: Vec<f64>,
+    /// Queue-inclusive read latencies (hits) and bare waits (misses), in
+    /// read order; folded like `write_samples`.
+    pub(crate) read_samples: Vec<f64>,
 }
 
-/// Struct-of-arrays latency accumulators of a batched replay: per-op
-/// samples pile up here in op order and fold into
-/// [`crate::LatencyHistogram`]s in one `extend` at `timed_end`, skipping a
-/// per-op cache invalidation and a `record`/`replace_last` pair while
-/// keeping the final sample vectors — and so every derived statistic —
-/// bit-identical to the stepper's.
-#[derive(Debug, Default)]
-pub(crate) struct BatchedSamples {
-    /// Queue-inclusive write latencies, in write order.
-    pub(crate) write: Vec<f64>,
-    /// Queue-inclusive read latencies (hits) and bare waits (misses), in
-    /// read order.
-    pub(crate) read: Vec<f64>,
+/// The device clocks of a timed replay, one variant per [`QueueModel`].
+#[derive(Debug)]
+pub(crate) enum Clock {
+    /// One scalar device-wide clock: when the single command queue drains.
+    Single(f64),
+    /// Per chip/plane group busy-until clocks plus the host channel.
+    PerChip(ChipClocks),
+}
+
+impl Clock {
+    /// When every accrued piece of work is done: the earliest instant the
+    /// device sits idle.
+    pub(crate) fn now(&self) -> f64 {
+        match self {
+            Clock::Single(device_free_at) => *device_free_at,
+            Clock::PerChip(c) => c.busy.iter().fold(0.0f64, |a, &b| a.max(b)),
+        }
+    }
+}
+
+/// Busy-until clocks of a [`QueueModel::PerChip`] replay.
+#[derive(Debug)]
+pub(crate) struct ChipClocks {
+    /// Busy-until clock per group; the last slot is the controller.
+    pub(crate) busy: Vec<f64>,
+    /// Scratch: summed occupancy per group for the current request.
+    agg: Vec<f64>,
+    /// Scratch: groups the current request touched.
+    touched: Vec<usize>,
+    /// Scratch: raw touch-log entries.
+    buf: Vec<(usize, f64)>,
+    /// Latest completion seen so far.
+    pub(crate) makespan: f64,
+}
+
+impl ChipClocks {
+    /// Clocks for `groups` chip/plane groups plus the controller slot.
+    pub(crate) fn new(groups: usize) -> Self {
+        ChipClocks {
+            busy: vec![0.0; groups + 1],
+            agg: vec![0.0; groups + 1],
+            touched: Vec::with_capacity(groups + 1),
+            buf: Vec::new(),
+            makespan: 0.0,
+        }
+    }
+
+    /// Drains the touch log and books one piece of work on the groups it
+    /// touched: the work starts once `floor` has passed and every touched
+    /// group is free, then each touched group stays busy for its own summed
+    /// duration (also added to `chip_busy_us`). Returns the start time.
+    pub(crate) fn occupy(
+        &mut self,
+        touches: &mut TouchLog,
+        chip_busy_us: &mut [f64],
+        floor: f64,
+    ) -> f64 {
+        touches.take_into(&mut self.buf);
+        let controller = self.busy.len() - 1;
+        self.touched.clear();
+        for &(g, d) in &self.buf {
+            let g = if g == CONTROLLER { controller } else { g };
+            if !self.touched.contains(&g) {
+                self.touched.push(g);
+            }
+            self.agg[g] += d;
+        }
+        let start = self.touched.iter().fold(floor, |a, &g| a.max(self.busy[g]));
+        for &g in &self.touched {
+            self.busy[g] = start + self.agg[g];
+            chip_busy_us[g] += self.agg[g];
+            self.agg[g] = 0.0;
+        }
+        start
+    }
 }
 
 /// Records which chip/plane groups each request occupies and for how long.
@@ -185,48 +189,6 @@ impl TouchLog {
     }
 }
 
-/// Completion-time heap tracking how many requests are queued or in service
-/// at each arrival (open-loop queue depth).
-#[derive(Debug, Default)]
-pub(crate) struct InFlight {
-    /// Min-heap of completion times (reversed max-heap over total order).
-    completions: std::collections::BinaryHeap<std::cmp::Reverse<TotalF64>>,
-}
-
-impl InFlight {
-    /// Retires requests completed by `arrival`; returns how many are still
-    /// in flight (excluding the arriving one).
-    pub(crate) fn arrive(&mut self, arrival: f64) -> usize {
-        while self.completions.peek().is_some_and(|c| c.0 .0 <= arrival) {
-            self.completions.pop();
-        }
-        self.completions.len()
-    }
-
-    /// Registers a request completing at `at`.
-    pub(crate) fn complete_at(&mut self, at: f64) {
-        self.completions.push(std::cmp::Reverse(TotalF64(at)));
-    }
-}
-
-/// `f64` wrapper ordered by `total_cmp` so it can live in a heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TotalF64(f64);
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,16 +214,5 @@ mod tests {
         log.record(1, 3.0);
         log.take_into(&mut buf);
         assert_eq!(buf, vec![(1, 3.0)], "take_into drains the log");
-    }
-
-    #[test]
-    fn in_flight_depth_tracks_overlapping_requests() {
-        let mut q = InFlight::default();
-        assert_eq!(q.arrive(0.0), 0);
-        q.complete_at(10.0);
-        q.complete_at(20.0);
-        assert_eq!(q.arrive(5.0), 2, "both still running at t=5");
-        assert_eq!(q.arrive(10.0), 1, "first completed exactly at t=10");
-        assert_eq!(q.arrive(25.0), 0);
     }
 }

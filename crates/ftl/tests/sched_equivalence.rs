@@ -102,7 +102,7 @@ proptest! {
         // The replay uses the queue as an open-loop depth tracker: arrive()
         // retires completions <= arrival and returns the in-flight count.
         // Oracle: a plain vector of completion times, min-scanned per
-        // arrival — the shape the stepper's binary heap implements.
+        // arrival — the semantics of a binary heap of completion times.
         let mut cq = CalendarQueue::new();
         let mut outstanding: Vec<f64> = Vec::new();
         let mut now = 0.0_f64;

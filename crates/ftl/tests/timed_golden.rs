@@ -11,9 +11,11 @@
 //! as a read-latency sample, so the read histogram fields carry post-fix
 //! regression values while every other field pins the pre-change bits.
 
+mod common;
+
 use ftl::{
-    poisson_arrivals, EngineMode, FtlConfig, IntegrityConfig, IoOp, IoRequest, PatrolConfig,
-    QueueModel, Ssd, Workload,
+    poisson_arrivals, FtlConfig, IntegrityConfig, IoOp, IoRequest, PatrolConfig, QueueModel, Ssd,
+    Workload,
 };
 
 /// Mixed open-loop workload over the small-test device: 3x-capacity random
@@ -35,14 +37,9 @@ fn workload(dev: &Ssd) -> Vec<(f64, IoRequest)> {
 }
 
 fn run(idle_gc: bool, model: QueueModel) -> Ssd {
-    run_with(idle_gc, model, EngineMode::Stepper)
-}
-
-fn run_with(idle_gc: bool, model: QueueModel, engine: EngineMode) -> Ssd {
     let mut config = FtlConfig::small_test();
     config.idle_gc = idle_gc;
     config.queue_model = model;
-    config.engine = engine;
     let mut dev = Ssd::new(config, 3).unwrap();
     let timed = workload(&dev);
     dev.run_timed(&timed).unwrap();
@@ -113,14 +110,7 @@ const GOLDEN: [Golden; 2] = [
 
 #[test]
 fn single_queue_model_reproduces_prechange_bits() {
-    check_golden(EngineMode::Stepper);
-}
-
-#[test]
-fn batched_engine_reproduces_the_same_golden_bits() {
-    // The event-driven core is a drop-in twin: same GOLDEN table, no
-    // batched-specific constants to maintain.
-    check_golden(EngineMode::Batched);
+    check_golden_with(|_| {});
 }
 
 #[test]
@@ -130,7 +120,7 @@ fn explicit_parity_off_and_zero_read_spread_reproduce_the_golden_bits() {
     // per-block read spread (nonzero correlation but zero σ must not even
     // draw) and page-type BER spread — replays the pre-parity GOLDEN table
     // bit for bit.
-    check_golden_with(EngineMode::Stepper, |config| {
+    check_golden_with(|config| {
         config.parity = ftl::ParityConfig::Off;
         config.flash.variation.read_block_sigma_us = 0.0;
         config.flash.variation.read_pgm_corr = 0.8;
@@ -138,17 +128,12 @@ fn explicit_parity_off_and_zero_read_spread_reproduce_the_golden_bits() {
     });
 }
 
-fn check_golden(engine: EngineMode) {
-    check_golden_with(engine, |_| {});
-}
-
-fn check_golden_with(engine: EngineMode, mutate: impl Fn(&mut FtlConfig)) {
+fn check_golden_with(mutate: impl Fn(&mut FtlConfig)) {
     for g in &GOLDEN {
         let dev = {
             let mut config = FtlConfig::small_test();
             config.idle_gc = g.idle_gc;
             config.queue_model = QueueModel::Single;
-            config.engine = engine;
             mutate(&mut config);
             let mut dev = Ssd::new(config, 3).unwrap();
             let timed = workload(&dev);
@@ -156,7 +141,7 @@ fn check_golden_with(engine: EngineMode, mutate: impl Fn(&mut FtlConfig)) {
             dev
         };
         let s = dev.stats();
-        let tag = format!("engine={} idle_gc={}", engine.label(), g.idle_gc);
+        let tag = format!("idle_gc={}", g.idle_gc);
         assert_eq!(s.host_writes, g.host_writes, "{tag} host_writes");
         assert_eq!(s.host_reads, g.host_reads, "{tag} host_reads");
         assert_eq!(s.host_trims, g.host_trims, "{tag} host_trims");
@@ -191,43 +176,37 @@ fn check_golden_with(engine: EngineMode, mutate: impl Fn(&mut FtlConfig)) {
 /// stops charging it to `refresh_us`, flips a pinned bit.
 #[test]
 fn reactive_refresh_time_lands_in_refresh_us_not_read_latency() {
-    for engine in [EngineMode::Stepper, EngineMode::Batched] {
-        let mut config = FtlConfig::small_test();
-        config.engine = engine;
-        config.integrity = IntegrityConfig {
-            track: true,
-            retention_hours_per_us: 0.003,
-            patrol: PatrolConfig::Off,
-        };
-        let mut dev = Ssd::new(config, 3).unwrap();
-        let timed = workload(&dev);
-        dev.run_timed(&timed).unwrap();
-        let s = dev.stats();
-        let tag = format!("engine={}", engine.label());
-        assert!(s.uncorrectable_reads > 0, "{tag}: the aged run must exhaust retry ladders");
-        assert_eq!(
-            s.refresh_relocations, s.uncorrectable_reads,
-            "{tag}: every uncorrectable read refreshes exactly once"
-        );
-        assert!(s.refresh_us > 0.0, "{tag}: relocation time is accounted");
-        assert_eq!(s.uncorrectable_reads, AGED.uncorrectable, "{tag} uncorrectable drifted");
-        assert_eq!(s.refresh_us.to_bits(), AGED.refresh_us, "{tag} refresh_us drifted");
-        assert_eq!(s.busy_us.to_bits(), AGED.busy_us, "{tag} busy_us drifted");
-        assert_eq!(s.read_latency.len(), AGED.read_len, "{tag} read sample count drifted");
-        assert_eq!(
-            s.read_latency.mean_us().to_bits(),
-            AGED.read_mean,
-            "{tag} read mean drifted — refresh time may be leaking into the histogram"
-        );
-        assert_eq!(
-            s.read_latency.quantile_us(0.99).to_bits(),
-            AGED.read_p99,
-            "{tag} read p99 drifted"
-        );
-    }
+    let mut config = FtlConfig::small_test();
+    config.integrity =
+        IntegrityConfig { track: true, retention_hours_per_us: 0.003, patrol: PatrolConfig::Off };
+    let mut dev = Ssd::new(config, 3).unwrap();
+    let timed = workload(&dev);
+    dev.run_timed(&timed).unwrap();
+    let s = dev.stats();
+    assert!(s.uncorrectable_reads > 0, "the aged run must exhaust retry ladders");
+    assert_eq!(
+        s.refresh_relocations, s.uncorrectable_reads,
+        "every uncorrectable read refreshes exactly once"
+    );
+    assert!(s.refresh_us > 0.0, "relocation time is accounted");
+    assert_eq!(s.uncorrectable_reads, AGED.uncorrectable, "uncorrectable drifted");
+    assert_eq!(s.refresh_us.to_bits(), AGED.refresh_us, "refresh_us drifted");
+    assert_eq!(s.busy_us.to_bits(), AGED.busy_us, "busy_us drifted");
+    assert_eq!(s.read_latency.len(), AGED.read_len, "read sample count drifted");
+    assert_eq!(
+        s.read_latency.mean_us().to_bits(),
+        AGED.read_mean,
+        "read mean drifted — refresh time may be leaking into the histogram"
+    );
+    assert_eq!(s.read_latency.quantile_us(0.99).to_bits(), AGED.read_p99, "read p99 drifted");
+    assert_eq!(common::device(&dev), AGED_FINGERPRINT, "full stat set drifted");
 }
 
-/// Golden bits for the aged replay above; both engines must agree on them.
+/// Fingerprint (see `common/mod.rs`) of the whole stat set and mapping of
+/// the aged replay, recorded from the original stepper loop.
+const AGED_FINGERPRINT: u64 = 0x3cb3_7592_68c6_fc76;
+
+/// Golden bits for the aged replay above.
 struct AgedGolden {
     uncorrectable: u64,
     refresh_us: u64,

@@ -94,7 +94,7 @@ impl Arbiter {
 
     /// [`Arbiter::pick`] over a packed readiness bitmask (bit `i % 64` of
     /// word `i / 64` marks queue `i` ready) — the representation the
-    /// batched frontend maintains incrementally instead of rebuilding a
+    /// frontend maintains incrementally instead of rebuilding a
     /// `Vec<bool>` per dispatch. Picks are identical to [`Arbiter::pick`]
     /// on the unpacked mask (`tests` pin this).
     ///

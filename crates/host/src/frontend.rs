@@ -4,8 +4,7 @@ use crate::arbiter::{Arbiter, Arbitration};
 use crate::queue::{Queued, TenantSpec, TenantState, TenantStats};
 use ftl::sched::{Arena, CalendarQueue};
 use ftl::trace::TracedRequest;
-use ftl::{EngineMode, IoOp, IoRequest, QosClass, Ssd, TimedOutcome};
-use std::collections::VecDeque;
+use ftl::{IoOp, IoRequest, QosClass, Ssd, TimedOutcome};
 
 /// A multi-queue host frontend: one submission queue per tenant, feeding
 /// a single [`Ssd`] through a deterministic event loop.
@@ -56,6 +55,8 @@ pub struct HostFrontend {
     arbiter: Arbiter,
     dispatch_log: Vec<usize>,
     now: f64,
+    /// Records of admitted commands; tenant submission queues hold handles.
+    arena: Arena<Queued>,
 }
 
 impl HostFrontend {
@@ -76,6 +77,7 @@ impl HostFrontend {
             arbiter: Arbiter::new(arbitration, weights),
             dispatch_log: Vec::new(),
             now: 0.0,
+            arena: Arena::with_capacity(64),
         }
     }
 
@@ -102,40 +104,16 @@ impl HostFrontend {
     }
 
     /// Routes parsed trace requests to their queues by tenant id (the
-    /// trace's optional fourth column), pairing each with its arrival.
-    ///
-    /// Legacy per-request path: each request is a one-element [`submit`],
-    /// which re-sorts the tenant's whole stream — O(n²·log n) over a long
-    /// trace. Kept as the reference the batched path is measured against;
-    /// new callers want [`submit_traced_batched`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tenant id is out of range for this frontend.
-    ///
-    /// [`submit`]: HostFrontend::submit
-    /// [`submit_traced_batched`]: HostFrontend::submit_traced_batched
-    pub fn submit_traced(&mut self, requests: &[(f64, TracedRequest)]) {
-        let n = self.tenants.len();
-        for &(arrival, traced) in requests {
-            let tenant = traced.tenant as usize;
-            assert!(tenant < n, "trace tenant {tenant} but frontend has {n} queues");
-            self.submit(tenant, &[(arrival, traced.request)]);
-        }
-    }
-
-    /// Batched twin of [`submit_traced`]: one routing pass plus a single
-    /// stable sort per tenant. Repeated stable sorting of a growing stream
-    /// equals one stable sort of the fully-appended stream, so the
-    /// resulting per-tenant streams — and every downstream stat — are
-    /// identical to the legacy path's; only the admission cost drops from
-    /// quadratic to O(n log n).
+    /// trace's optional fourth column), pairing each with its arrival: one
+    /// routing pass plus a single stable sort per tenant, so equal arrivals
+    /// keep trace order — the same streams per-request [`submit`] calls
+    /// would build, at O(n log n) instead of a re-sort per request.
     ///
     /// # Panics
     ///
     /// Panics if a tenant id is out of range or called after [`run`].
     ///
-    /// [`submit_traced`]: HostFrontend::submit_traced
+    /// [`submit`]: HostFrontend::submit
     /// [`run`]: HostFrontend::run
     pub fn submit_traced_batched(&mut self, requests: &[(f64, TracedRequest)]) {
         assert!(self.dispatch_log.is_empty() && self.now == 0.0, "submit before run");
@@ -152,12 +130,12 @@ impl HostFrontend {
 
     /// Replays every submitted stream to completion.
     ///
-    /// The drain loop follows the device's configured [`EngineMode`]: the
-    /// stepper drain re-scans every tenant per dispatch (the golden
-    /// oracle), the batched drain consumes host-arrival events from a
-    /// calendar queue, keeps a packed readiness bitmask and arena-backed
-    /// queue records, and folds per-tenant latency samples at the end.
-    /// Both produce bit-identical stats (`tests/engine_identity.rs`).
+    /// The drain is event-driven: host arrivals live as events in a
+    /// calendar queue, readiness is a packed bitmask updated on queue
+    /// transitions, queue records are arena-allocated, and per-tenant
+    /// latency samples accumulate in vectors folded once at the end.
+    /// Admission runs exactly when the queue state can change — after the
+    /// clock advances past an arrival, or after a dispatch frees a slot.
     ///
     /// # Errors
     ///
@@ -165,23 +143,25 @@ impl HostFrontend {
     /// power loss). The device keeps its partial state and stats.
     pub fn run(&mut self) -> ftl::Result<()> {
         self.ssd.timed_begin();
-        let result = if self.ssd.engine() == EngineMode::Batched {
-            self.drain_batched()
-        } else {
-            self.drain()
-        };
-        // Fold partial clocks into the stats even on the error path.
+        let mut drain = Drain::new(&self.tenants);
+        let result = self.drain(&mut drain);
+        // Fold partial clocks and samples into the stats even on the error
+        // path.
         self.ssd.timed_end();
+        for (t, (w, r)) in
+            self.tenants.iter_mut().zip(drain.write_samples.iter().zip(&drain.read_samples))
+        {
+            t.stats.write_latency.extend(w);
+            t.stats.read_latency.extend(r);
+        }
         result
     }
 
-    fn drain(&mut self) -> ftl::Result<()> {
+    fn drain(&mut self, run: &mut Drain) -> ftl::Result<()> {
+        for i in 0..self.tenants.len() {
+            self.admit_one(run, i);
+        }
         loop {
-            let now = self.now;
-            for tenant in &mut self.tenants {
-                tenant.admit(now);
-            }
-            let mut ready: Vec<bool> = self.tenants.iter().map(|t| !t.sq.is_empty()).collect();
             // When the device wants a GC slice — or patrol scrubbing has
             // starved past a full interval and will bill foreground
             // commands — drain latency-critical queues first: their
@@ -189,34 +169,38 @@ impl HostFrontend {
             // lower class first would sandwich the waiting LC command
             // behind that command's slice. Work-conserving — the mask only
             // applies while a latency-critical queue is ready.
-            if self.ssd.gc_slice_pending()
-                && self
-                    .tenants
-                    .iter()
-                    .zip(&ready)
-                    .any(|(t, &r)| r && t.spec.qos == QosClass::LatencyCritical)
+            let pick = if self.ssd.gc_slice_pending()
+                && run.ready.iter().zip(&run.lc_mask).any(|(&r, &m)| r & m != 0)
             {
-                for (t, r) in self.tenants.iter().zip(ready.iter_mut()) {
-                    *r = *r && t.spec.qos == QosClass::LatencyCritical;
+                for (m, (&r, &l)) in run.masked.iter_mut().zip(run.ready.iter().zip(&run.lc_mask)) {
+                    *m = r & l;
                 }
-            }
-            let Some(k) = self.arbiter.pick(&ready) else {
-                // Every queue is empty: jump to the next arrival, or stop
-                // once all streams are drained.
-                let next = self
-                    .tenants
-                    .iter()
-                    .filter_map(TenantState::next_arrival)
-                    .fold(f64::INFINITY, f64::min);
-                if !next.is_finite() {
+                self.arbiter.pick_mask(&run.masked)
+            } else {
+                self.arbiter.pick_mask(&run.ready)
+            };
+            let Some(k) = pick else {
+                // Every queue is empty: jump to the next arrival event, or
+                // stop once all streams are drained. (No queue ready means
+                // no tenant is depth-blocked, so every pending arrival has
+                // an event in the calendar.)
+                let Some(ev) = run.arrivals.pop_min() else {
                     return Ok(());
-                }
-                self.now = self.now.max(next);
+                };
+                let i = ev.payload as usize;
+                run.scheduled[i] = false;
+                self.now = self.now.max(ev.time);
+                self.admit_one(run, i);
+                self.fire_due_arrivals(run);
                 continue;
             };
             let state = &mut self.tenants[k];
             let was_full = state.sq.len() >= state.spec.queue_depth;
-            let item = state.sq.pop_front().expect("picked queue is ready");
+            let handle = state.sq.pop_front().expect("picked queue is ready");
+            let item = self.arena.free(handle);
+            if state.sq.is_empty() {
+                run.ready[k / 64] &= !(1u64 << (k % 64));
+            }
             if was_full {
                 // The slot frees the instant the command is fetched.
                 state.freed_at = self.now;
@@ -229,34 +213,37 @@ impl HostFrontend {
             let wait = out.start_us - item.arrival;
             stats.queue_wait_us += wait;
             match item.req.op {
-                IoOp::Write => stats.write_latency.record(wait + out.service_us),
+                IoOp::Write => run.write_samples[k].push(wait + out.service_us),
                 IoOp::Read => {
                     // Mirror the device convention: a miss has no service
                     // time but its wait still counts as a latency sample.
                     if out.service_us > 0.0 {
-                        stats.read_latency.record(wait + out.service_us);
+                        run.read_samples[k].push(wait + out.service_us);
                     } else {
-                        stats.read_latency.record(wait);
+                        run.read_samples[k].push(wait);
                     }
                 }
                 IoOp::Trim => {}
             }
             stats.completed += 1;
+            // The clock moved and a slot freed: fire due arrival events
+            // first (they may include tenant k's), then top up tenant k.
+            self.fire_due_arrivals(run);
+            self.admit_one(run, k);
         }
     }
 
-    /// One device step under tenant `k`'s GC SLO, shared by both drains so
-    /// their allowance decisions are identical step for step. For a tenant
-    /// with a [`crate::GcSlo`], the device's per-command allowance is set
-    /// to the window's remaining debt budget before the step, the
-    /// collection stall the command was actually charged (the device's
-    /// `gc_stall_us` delta — foreground GC slices, overdue patrol-scrub
-    /// payments down the same QoS ladder, plus any emergency-floor
-    /// reclaim, never idle-gap work) is folded back into the window after
-    /// it, and the allowance is restored to `INFINITY` so other tenants
-    /// stay uncapped. Tenants without an SLO take the plain step — the
-    /// device field never moves off its default, keeping SLO-free runs
-    /// bit-identical to builds without this feature.
+    /// One device step under tenant `k`'s GC SLO. For a tenant with a
+    /// [`crate::GcSlo`], the device's per-command allowance is set to the
+    /// window's remaining debt budget before the step, the collection
+    /// stall the command was actually charged (the device's `gc_stall_us`
+    /// delta — foreground GC slices, overdue patrol-scrub payments down the
+    /// same QoS ladder, plus any emergency-floor reclaim, never idle-gap
+    /// work) is folded back into the window after it, and the allowance is
+    /// restored to `INFINITY` so other tenants stay uncapped. Tenants
+    /// without an SLO take the plain step — the device field never moves
+    /// off its default, keeping SLO-free runs bit-identical to builds
+    /// without this feature.
     fn step_with_slo(
         &mut self,
         k: usize,
@@ -281,114 +268,16 @@ impl HostFrontend {
         result
     }
 
-    /// Event-driven drain: instead of re-admitting every tenant and
-    /// rebuilding a `Vec<bool>` readiness mask on every dispatch, arrivals
-    /// live as events in a calendar queue, readiness is a packed bitmask
-    /// updated on queue transitions, queue records are arena-allocated,
-    /// and latency samples accumulate in per-tenant vectors folded once at
-    /// the end. Admission runs exactly when legacy admission would have
-    /// changed state — after the clock advances past an arrival, or after
-    /// a dispatch frees a slot — so dispatch order and every stat are
-    /// bit-identical to [`HostFrontend::drain`].
-    fn drain_batched(&mut self) -> ftl::Result<()> {
-        let n = self.tenants.len();
-        let mut run = BatchedRun::new(n);
-        for (i, t) in self.tenants.iter().enumerate() {
-            if t.spec.qos == QosClass::LatencyCritical {
-                run.lc_mask[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        let result = self.drain_batched_inner(&mut run);
-        // Fold the SoA sample accumulators even on the error path, exactly
-        // like the legacy drain's per-op records would have survived.
-        for (i, (w, r)) in run.write_samples.iter().zip(&run.read_samples).enumerate() {
-            self.tenants[i].stats.write_latency.extend(w);
-            self.tenants[i].stats.read_latency.extend(r);
-        }
-        result
-    }
-
-    fn drain_batched_inner(&mut self, run: &mut BatchedRun) -> ftl::Result<()> {
-        for i in 0..self.tenants.len() {
-            self.admit_one(run, i);
-        }
-        loop {
-            // Same LC-drain masking as the legacy drain (readiness and
-            // device state agree step for step, so both drains mask at the
-            // same dispatch points and stay bit-identical).
-            let pick = if self.ssd.gc_slice_pending()
-                && run.ready.iter().zip(&run.lc_mask).any(|(&r, &m)| r & m != 0)
-            {
-                for (m, (&r, &l)) in run.masked.iter_mut().zip(run.ready.iter().zip(&run.lc_mask)) {
-                    *m = r & l;
-                }
-                self.arbiter.pick_mask(&run.masked)
-            } else {
-                self.arbiter.pick_mask(&run.ready)
-            };
-            let Some(k) = pick else {
-                // Every queue is empty: jump to the next arrival event, or
-                // stop once all streams are drained. (No queue ready means
-                // no tenant is depth-blocked, so every pending arrival has
-                // an event in the calendar.)
-                let Some(ev) = run.arrivals.pop_min() else {
-                    return Ok(());
-                };
-                let i = ev.payload as usize;
-                run.scheduled[i] = false;
-                self.now = self.now.max(ev.time);
-                self.admit_one(run, i);
-                self.drain_due_arrivals(run);
-                continue;
-            };
-            let state = &mut self.tenants[k];
-            let sq = &mut run.sqs[k];
-            let was_full = sq.len() >= state.spec.queue_depth;
-            let handle = sq.pop_front().expect("picked queue is ready");
-            let item = run.arena.free(handle);
-            if sq.is_empty() {
-                run.ready[k / 64] &= !(1u64 << (k % 64));
-            }
-            if was_full {
-                // The slot frees the instant the command is fetched.
-                state.freed_at = self.now;
-            }
-            let qos = state.spec.qos;
-            let out = self.step_with_slo(k, item, qos)?;
-            self.now = self.now.max(out.completion_us);
-            self.dispatch_log.push(k);
-            let stats = &mut self.tenants[k].stats;
-            let wait = out.start_us - item.arrival;
-            stats.queue_wait_us += wait;
-            match item.req.op {
-                IoOp::Write => run.write_samples[k].push(wait + out.service_us),
-                IoOp::Read => {
-                    if out.service_us > 0.0 {
-                        run.read_samples[k].push(wait + out.service_us);
-                    } else {
-                        run.read_samples[k].push(wait);
-                    }
-                }
-                IoOp::Trim => {}
-            }
-            stats.completed += 1;
-            // The clock moved and a slot freed: fire due arrival events
-            // first (they may include tenant k's), then top up tenant k.
-            self.drain_due_arrivals(run);
-            self.admit_one(run, k);
-        }
-    }
-
     /// Admits tenant `i` up to `self.now`, updates its readiness bit, and
     /// schedules its next arrival event. A depth-blocked tenant gets no
     /// event — only a dispatch (which calls back here) can unblock it.
-    fn admit_one(&mut self, run: &mut BatchedRun, i: usize) {
+    fn admit_one(&mut self, run: &mut Drain, i: usize) {
         let state = &mut self.tenants[i];
-        state.admit_batched(self.now, &mut run.arena, &mut run.sqs[i]);
-        if !run.sqs[i].is_empty() {
+        state.admit(self.now, &mut self.arena);
+        if !state.sq.is_empty() {
             run.ready[i / 64] |= 1u64 << (i % 64);
         }
-        if !run.scheduled[i] && run.sqs[i].len() < state.spec.queue_depth {
+        if !run.scheduled[i] && state.sq.len() < state.spec.queue_depth {
             if let Some(t) = state.next_arrival() {
                 run.arrivals.push(t, u32::try_from(i).expect("tenant count fits u32"));
                 run.scheduled[i] = true;
@@ -397,7 +286,7 @@ impl HostFrontend {
     }
 
     /// Fires every arrival event due by `self.now`, admitting its tenant.
-    fn drain_due_arrivals(&mut self, run: &mut BatchedRun) {
+    fn fire_due_arrivals(&mut self, run: &mut Drain) {
         while run.arrivals.peek().is_some_and(|ev| ev.time <= self.now) {
             let ev = run.arrivals.pop_min().expect("peeked event exists");
             let i = ev.payload as usize;
@@ -448,12 +337,9 @@ impl HostFrontend {
     }
 }
 
-/// Working set of one batched drain: the shared record arena, per-tenant
-/// handle queues, the host-arrival calendar, the packed readiness mask and
-/// the SoA latency accumulators.
-struct BatchedRun {
-    arena: Arena<Queued>,
-    sqs: Vec<VecDeque<u32>>,
+/// Working set of one drain: the host-arrival calendar, the packed
+/// readiness mask and the per-tenant latency accumulators.
+struct Drain {
     arrivals: CalendarQueue,
     /// Whether tenant `i` has an arrival event queued (at most one each).
     scheduled: Vec<bool>,
@@ -467,18 +353,23 @@ struct BatchedRun {
     read_samples: Vec<Vec<f64>>,
 }
 
-impl BatchedRun {
-    fn new(tenants: usize) -> Self {
-        BatchedRun {
-            arena: Arena::with_capacity(64),
-            sqs: (0..tenants).map(|_| VecDeque::new()).collect(),
+impl Drain {
+    fn new(tenants: &[TenantState]) -> Self {
+        let n = tenants.len();
+        let mut lc_mask = vec![0u64; n.div_ceil(64)];
+        for (i, t) in tenants.iter().enumerate() {
+            if t.spec.qos == QosClass::LatencyCritical {
+                lc_mask[i / 64] |= 1u64 << (i % 64);
+            }
+        }
+        Drain {
             arrivals: CalendarQueue::new(),
-            scheduled: vec![false; tenants],
-            ready: vec![0u64; tenants.div_ceil(64)],
-            lc_mask: vec![0u64; tenants.div_ceil(64)],
-            masked: vec![0u64; tenants.div_ceil(64)],
-            write_samples: vec![Vec::new(); tenants],
-            read_samples: vec![Vec::new(); tenants],
+            scheduled: vec![false; n],
+            ready: vec![0u64; n.div_ceil(64)],
+            lc_mask,
+            masked: vec![0u64; n.div_ceil(64)],
+            write_samples: vec![Vec::new(); n],
+            read_samples: vec![Vec::new(); n],
         }
     }
 }
@@ -571,7 +462,7 @@ mod tests {
             ],
             Arbitration::RoundRobin,
         );
-        front.submit_traced(&timed);
+        front.submit_traced_batched(&timed);
         front.run().unwrap();
         assert_eq!(front.tenant_stats(0).completed, 2, "W,1 and R,1");
         assert_eq!(front.tenant_stats(1).completed, 3, "W,2 and the 2-page run W,3");
@@ -586,7 +477,7 @@ mod tests {
             vec![TenantSpec::new("only", QosClass::Standard)],
             Arbitration::RoundRobin,
         );
-        front.submit_traced(&[(0.0, parsed[0])]);
+        front.submit_traced_batched(&[(0.0, parsed[0])]);
     }
 
     #[test]

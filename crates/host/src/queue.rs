@@ -161,7 +161,8 @@ pub(crate) struct TenantState {
     pub stream: Vec<(f64, IoRequest)>,
     /// Index of the next stream entry to admit.
     pub next: usize,
-    pub sq: VecDeque<Queued>,
+    /// Submission queue: handles into the frontend's record arena.
+    pub sq: VecDeque<u32>,
     /// When the last slot freed while the queue was full — the earliest
     /// instant a backpressured arrival can enter the queue.
     pub freed_at: f64,
@@ -219,8 +220,11 @@ impl TenantState {
     }
 
     /// Moves every request that has arrived by `now` into the submission
-    /// queue, respecting the depth bound.
-    pub(crate) fn admit(&mut self, now: f64) {
+    /// queue, respecting the depth bound. Records live in the frontend's
+    /// shared [`Arena`] and the queue holds handles — one slab serves every
+    /// tenant, and a record is touched exactly twice (alloc at admission,
+    /// free at dispatch).
+    pub(crate) fn admit(&mut self, now: f64, arena: &mut Arena<Queued>) {
         while let Some(&(arrival, req)) = self.stream.get(self.next) {
             if arrival > now || self.sq.len() >= self.spec.queue_depth {
                 break;
@@ -230,33 +234,8 @@ impl TenantState {
             if submit > arrival {
                 self.stats.backpressured += 1;
             }
-            self.sq.push_back(Queued { arrival, submit, req });
+            self.sq.push_back(arena.alloc(Queued { arrival, submit, req }));
             self.stats.depth_high_water = self.stats.depth_high_water.max(self.sq.len());
-            self.next += 1;
-        }
-    }
-
-    /// Batched-engine twin of [`TenantState::admit`]: identical admission
-    /// rules, backpressure accounting and high-water tracking, but the
-    /// records live in a shared [`Arena`] and the submission queue holds
-    /// handles — one slab allocation serves every tenant, and a record is
-    /// touched exactly twice (alloc at admission, free at dispatch).
-    pub(crate) fn admit_batched(
-        &mut self,
-        now: f64,
-        arena: &mut Arena<Queued>,
-        sq: &mut VecDeque<u32>,
-    ) {
-        while let Some(&(arrival, req)) = self.stream.get(self.next) {
-            if arrival > now || sq.len() >= self.spec.queue_depth {
-                break;
-            }
-            let submit = arrival.max(self.freed_at);
-            if submit > arrival {
-                self.stats.backpressured += 1;
-            }
-            sq.push_back(arena.alloc(Queued { arrival, submit, req }));
-            self.stats.depth_high_water = self.stats.depth_high_water.max(sq.len());
             self.next += 1;
         }
     }

@@ -4,20 +4,19 @@
 //! work charged to the tenant inside any window (up to one slice overrun);
 //! a zero budget suppresses every ladder slice for that tenant while a
 //! practically-unbounded one is bit-identical to having no SLO at all; and
-//! the SLO path must not split the batched engine from the stepper oracle
+//! the SLO path must reproduce the stepper oracle's recorded fingerprint
 //! — same allowance decisions, same debt, same dispatch order.
 
-use ftl::{
-    poisson_arrivals, EngineMode, FtlConfig, GcBudget, IoRequest, QosClass, QueueModel, Ssd,
-};
+mod common;
+
+use ftl::{poisson_arrivals, FtlConfig, GcBudget, IoRequest, QosClass, QueueModel, Ssd};
 use host::{Arbitration, HostFrontend, TenantSpec};
 
 const SLICE_US: f64 = 300.0;
 
-fn gc_active_device(engine: EngineMode) -> Ssd {
+fn gc_active_device() -> Ssd {
     let mut config = FtlConfig::small_test();
     config.queue_model = QueueModel::PerChip;
-    config.engine = engine;
     config.idle_gc = true;
     config.gc_budget = GcBudget::Sliced { slice_us: SLICE_US };
     // Wide spare pool and a watermark band well above the emergency floor
@@ -43,8 +42,8 @@ fn streams(dev: &Ssd) -> Vec<Vec<(f64, IoRequest)>> {
     out
 }
 
-fn run(engine: EngineMode, specs: Vec<TenantSpec>) -> HostFrontend {
-    let dev = gc_active_device(engine);
+fn run(specs: Vec<TenantSpec>) -> HostFrontend {
+    let dev = gc_active_device();
     let streams = streams(&dev);
     let mut front = HostFrontend::new(dev, specs, Arbitration::WeightedRoundRobin);
     for (tenant, stream) in streams.iter().enumerate() {
@@ -71,7 +70,7 @@ fn specs_with_slo(slo: Option<(f64, f64)>) -> Vec<TenantSpec> {
 fn window_budget_caps_per_window_debt() {
     // Budget two slices of debt per 20 ms window — tight enough that the
     // standard tenant must get throttled while collection is backlogged.
-    let front = run(EngineMode::Batched, specs_with_slo(Some((2.0 * SLICE_US, 20_000.0))));
+    let front = run(specs_with_slo(Some((2.0 * SLICE_US, 20_000.0))));
     assert!(front.device().stats().gc_slices > 0, "workload must exercise slices");
     let s = front.tenant_stats(1);
     assert!(s.gc_debt_us > 0.0, "standard tenant must be charged collection debt");
@@ -100,12 +99,12 @@ fn window_budget_caps_per_window_debt() {
 
 #[test]
 fn zero_budget_suppresses_ladder_slices_and_huge_budget_changes_nothing() {
-    let baseline = run(EngineMode::Batched, specs_with_slo(None));
+    let baseline = run(specs_with_slo(None));
     assert!(baseline.device().stats().gc_yield_count > 0, "ladder slices must park");
 
     // A practically-unbounded budget must leave every stat bit-identical
     // to the no-SLO run — the cap only binds once a window can fill.
-    let huge = run(EngineMode::Batched, specs_with_slo(Some((1e18, 1e9))));
+    let huge = run(specs_with_slo(Some((1e18, 1e9))));
     assert_eq!(baseline.dispatch_log(), huge.dispatch_log(), "huge budget moved dispatches");
     let (b, h) = (baseline.device().stats(), huge.device().stats());
     assert_eq!(b.gc_slices, h.gc_slices);
@@ -117,7 +116,7 @@ fn zero_budget_suppresses_ladder_slices_and_huge_budget_changes_nothing() {
     // A zero budget pins the standard tenant's allowance at zero: every
     // backlogged dispatch is throttled and the only debt it can accrue is
     // the emergency floor's.
-    let starved = run(EngineMode::Batched, specs_with_slo(Some((0.0, 1e9))));
+    let starved = run(specs_with_slo(Some((0.0, 1e9))));
     let s = starved.tenant_stats(1);
     assert!(s.gc_throttled > 0, "zero budget must throttle");
     assert!(
@@ -127,26 +126,9 @@ fn zero_budget_suppresses_ladder_slices_and_huge_budget_changes_nothing() {
 }
 
 #[test]
-fn slo_path_keeps_batched_engine_identical_to_stepper() {
-    let specs = || specs_with_slo(Some((2.0 * SLICE_US, 20_000.0)));
-    let stepper = run(EngineMode::Stepper, specs());
-    let batched = run(EngineMode::Batched, specs());
-    assert_eq!(stepper.dispatch_log(), batched.dispatch_log(), "slo: dispatch order diverged");
-    let (s, b) = (stepper.device().stats(), batched.device().stats());
-    assert_eq!(s.gc_slices, b.gc_slices, "slo: gc_slices");
-    assert_eq!(s.gc_yield_count, b.gc_yield_count, "slo: gc_yield_count");
-    assert_eq!(s.gc_stall_us.to_bits(), b.gc_stall_us.to_bits(), "slo: gc_stall_us");
-    assert_eq!(s.busy_us.to_bits(), b.busy_us.to_bits(), "slo: busy_us");
-    for tenant in 0..stepper.tenants() {
-        let (ts, tb) = (stepper.tenant_stats(tenant), batched.tenant_stats(tenant));
-        assert_eq!(ts.completed, tb.completed, "{}: completed", ts.name);
-        assert_eq!(ts.gc_debt_us.to_bits(), tb.gc_debt_us.to_bits(), "{}: debt", ts.name);
-        assert_eq!(
-            ts.gc_window_peak_us.to_bits(),
-            tb.gc_window_peak_us.to_bits(),
-            "{}: window peak",
-            ts.name
-        );
-        assert_eq!(ts.gc_throttled, tb.gc_throttled, "{}: throttled", ts.name);
-    }
+fn slo_path_matches_the_stepper_fingerprint() {
+    let front = run(specs_with_slo(Some((2.0 * SLICE_US, 20_000.0))));
+    assert!(front.tenant_stats(1).gc_debt_us > 0.0, "slo: the SLO tenant must carry debt");
+    let actual = common::frontend(&front);
+    assert_eq!(actual, 0xa1fd_a0cf_2c94_e7a0, "slo: fingerprint {actual:#018x} drifted");
 }
