@@ -32,6 +32,11 @@ fn bench_assembly(c: &mut Criterion) {
         ("str_rank_w4", Box::new(|| Box::new(RankAssembly::new(RankStrategy::Str, 4)))),
         ("str_med_w4", Box::new(|| Box::new(RankAssembly::new(RankStrategy::StrMedian, 4)))),
         ("lwl_rank_w4", Box::new(|| Box::new(RankAssembly::new(RankStrategy::Lwl, 4)))),
+        // The paper's Table I window.
+        ("optimal_w8", Box::new(|| Box::new(OptimalAssembly::new(8)))),
+        ("lwl_rank_w8", Box::new(|| Box::new(RankAssembly::new(RankStrategy::Lwl, 8)))),
+        ("pwl_rank_w8", Box::new(|| Box::new(RankAssembly::new(RankStrategy::Pwl, 8)))),
+        ("str_rank_w8", Box::new(|| Box::new(RankAssembly::new(RankStrategy::Str, 8)))),
         ("qstr_med_c4", Box::new(|| Box::new(QstrMed::with_candidates(4)))),
     ];
     for (name, make) in schemes {

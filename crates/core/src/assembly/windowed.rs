@@ -29,7 +29,9 @@ pub(crate) fn sorted_remaining(pool: &BlockPool) -> Vec<Vec<usize>> {
 }
 
 /// Calls `f` with every mixed-radix combination `picks` where
-/// `picks[i] < sizes[i]`.
+/// `picks[i] < sizes[i]`: the plain scan the windowed searches are tested
+/// against.
+#[cfg(test)]
 pub(crate) fn for_each_combo(sizes: &[usize], mut f: impl FnMut(&[usize])) {
     if sizes.contains(&0) {
         return;

@@ -9,7 +9,7 @@
 #[must_use]
 pub fn rank_distance(a: &[u32], b: &[u32]) -> u32 {
     assert_eq!(a.len(), b.len(), "rank vectors must have equal length");
-    a.iter().zip(b).filter(|(x, y)| x != y).count() as u32
+    a.iter().zip(b).map(|(x, y)| u32::from(x != y)).sum()
 }
 
 /// Equation (1) over a whole combination: the sum of [`rank_distance`] over

@@ -27,19 +27,13 @@ pub fn pwl_ranks(tprog_us: &[f64], strings: u16) -> Vec<u32> {
     let s = usize::from(strings);
     assert!(s > 0 && tprog_us.len().is_multiple_of(s), "latency vector not layer-major");
     let layers = tprog_us.len() / s;
+    let (ids, distinct) = dense_ids(tprog_us);
     let mut out = vec![0u32; tprog_us.len()];
+    let mut next = Vec::with_capacity(distinct);
     for string in 0..s {
-        // Latencies of this string across layers, keeping layer ids.
-        let mut idx: Vec<usize> = (0..layers).collect();
-        idx.sort_by(|&a, &b| {
-            tprog_us[a * s + string]
-                .partial_cmp(&tprog_us[b * s + string])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        for (rank, &layer) in idx.iter().enumerate() {
-            out[layer * s + string] = rank as u32;
-        }
+        // This string's latencies across layers, by layer id.
+        let column = (0..layers).map(|layer| ids[layer * s + string]);
+        rank_dense(column, distinct, &mut next, |layer, rank| out[layer * s + string] = rank);
     }
     out
 }
@@ -55,18 +49,13 @@ pub fn pwl_ranks(tprog_us: &[f64], strings: u16) -> Vec<u32> {
 pub fn str_ranks(tprog_us: &[f64], strings: u16) -> Vec<u32> {
     let s = usize::from(strings);
     assert!(s > 0 && tprog_us.len().is_multiple_of(s), "latency vector not layer-major");
-    let layers = tprog_us.len() / s;
     let mut out = vec![0u32; tprog_us.len()];
-    let mut idx: Vec<usize> = Vec::with_capacity(s);
-    for layer in 0..layers {
-        let row = &tprog_us[layer * s..(layer + 1) * s];
-        idx.clear();
-        idx.extend(0..s);
-        idx.sort_by(|&a, &b| {
-            row[a].partial_cmp(&row[b]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-        });
-        for (rank, &string) in idx.iter().enumerate() {
-            out[layer * s + string] = rank as u32;
+    for (row, ranks) in tprog_us.chunks_exact(s).zip(out.chunks_exact_mut(s)) {
+        // A layer has a handful of strings: count directly, no sort.
+        for (string, (&t, rank)) in row.iter().zip(ranks.iter_mut()).enumerate() {
+            let before = row[..string].iter().filter(|&&u| u <= t).count();
+            let after = row[string + 1..].iter().filter(|&&u| u < t).count();
+            *rank = (before + after) as u32;
         }
     }
     out
@@ -97,15 +86,66 @@ pub fn str_median_eigen(tprog_us: &[f64], strings: u16) -> EigenSequence {
 
 /// Ranks an arbitrary latency vector (0 = fastest, ties by index).
 fn rank_all(values: &[f64]) -> Vec<u32> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| {
-        values[a].partial_cmp(&values[b]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
+    let (ids, distinct) = dense_ids(values);
     let mut out = vec![0u32; values.len()];
-    for (rank, &i) in idx.iter().enumerate() {
-        out[i] = rank as u32;
-    }
+    rank_dense(ids.iter().copied(), distinct, &mut Vec::new(), |i, rank| out[i] = rank);
     out
+}
+
+/// Each latency's index among the distinct latencies of `values`, in
+/// ascending order (equal latencies share an index), and how many distinct
+/// latencies there are.
+fn dense_ids(values: &[f64]) -> (Vec<u32>, usize) {
+    let keys: Vec<u64> = values.iter().map(|&v| order_key(v)).collect();
+    let mut distinct = keys.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let ids = keys
+        .iter()
+        .map(|key| distinct.binary_search(key).expect("every key is a distinct key") as u32)
+        .collect();
+    (ids, distinct.len())
+}
+
+/// Ranks a sequence of dense ids (0 = smallest, ties by position), calling
+/// `place(position, rank)` for each: a stable counting sort, so an entry's
+/// rank is the number of smaller entries plus the number of equal entries
+/// before it. Characterized blocks repeat a handful of pulse-quantized
+/// latencies across hundreds of word-lines, which makes counting much
+/// cheaper than sorting positions by comparator. `next` is scratch.
+fn rank_dense(
+    ids: impl Iterator<Item = u32> + Clone,
+    distinct: usize,
+    next: &mut Vec<u32>,
+    mut place: impl FnMut(usize, u32),
+) {
+    next.clear();
+    next.resize(distinct, 0);
+    for id in ids.clone() {
+        next[id as usize] += 1;
+    }
+    // Counts to the first rank of each id.
+    let mut first = 0;
+    for slot in next.iter_mut() {
+        first += std::mem::replace(slot, first);
+    }
+    for (i, id) in ids.enumerate() {
+        let slot = &mut next[id as usize];
+        place(i, *slot);
+        *slot += 1;
+    }
+}
+
+/// Monotone `u64` image of a latency: for every non-NaN `a` and `b`,
+/// `a < b` exactly when `order_key(a) < order_key(b)`, and `a == b` exactly
+/// when the keys are equal (`-0.0` folds onto `+0.0`).
+fn order_key(v: f64) -> u64 {
+    let bits = if v == 0.0 { 0 } else { v.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 #[cfg(test)]
@@ -193,6 +233,62 @@ mod tests {
         assert_eq!(str_median_eigen(&[1579.1, 1646.6, 1579.1, 1579.1], 4).to_string(), "0101");
         // PWL 95: 1898.6, 1910.8, 1880.1, 1910.8 -> figure says 0 1 0 1.
         assert_eq!(str_median_eigen(&[1898.6, 1910.8, 1880.1, 1910.8], 4).to_string(), "0101");
+    }
+
+    /// The index-indirect comparator sort the keyed sort replaced.
+    fn rank_by_comparator(values: &[f64]) -> Vec<u32> {
+        let mut idx: Vec<usize> = (0..values.len()).collect();
+        idx.sort_by(|&a, &b| {
+            values[a].partial_cmp(&values[b]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+        });
+        let mut out = vec![0u32; values.len()];
+        for (rank, &i) in idx.iter().enumerate() {
+            out[i] = rank as u32;
+        }
+        out
+    }
+
+    #[test]
+    fn order_key_is_monotone_and_folds_signed_zero() {
+        let ascending = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -18.4,
+            -f64::MIN_POSITIVE,
+            0.0,
+            f64::MIN_POSITIVE,
+            18.4,
+            1700.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        for pair in ascending.windows(2) {
+            assert!(order_key(pair[0]) < order_key(pair[1]), "{pair:?}");
+        }
+        assert_eq!(order_key(-0.0), order_key(0.0));
+    }
+
+    #[test]
+    fn keyed_ranks_match_comparator_sort() {
+        // Ties, signed zeros, negatives and quantized latencies.
+        let mut values = vec![0.0, -0.0, 5.0, -3.5, 5.0, f64::INFINITY, -0.0, 1e-300];
+        values.extend((0..96).map(|i| 1500.0 + 18.4 * f64::from((i * 7 % 11) as u32)));
+        assert_eq!(lwl_ranks(&values), rank_by_comparator(&values));
+        for strings in [1u16, 2, 4, 8] {
+            let s = usize::from(strings);
+            let layers = values.len() / s;
+            let str_expected: Vec<u32> =
+                values.chunks_exact(s).flat_map(rank_by_comparator).collect();
+            assert_eq!(str_ranks(&values, strings), str_expected, "strings={strings}");
+            let mut pwl_expected = vec![0u32; values.len()];
+            for string in 0..s {
+                let column: Vec<f64> = (0..layers).map(|l| values[l * s + string]).collect();
+                for (layer, rank) in rank_by_comparator(&column).into_iter().enumerate() {
+                    pwl_expected[layer * s + string] = rank;
+                }
+            }
+            assert_eq!(pwl_ranks(&values, strings), pwl_expected, "strings={strings}");
+        }
     }
 
     #[test]

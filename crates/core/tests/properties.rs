@@ -225,3 +225,132 @@ proptest! {
         }
     }
 }
+
+/// Pools whose latencies sit on the 18.4 µs program-pulse grid, as
+/// `LatencyModel` quantizes them, with few levels so scores tie often.
+fn arb_quantized_pool() -> impl Strategy<Value = BlockPool> {
+    (1usize..5, 1usize..10, 1usize..5).prop_flat_map(|(pools, blocks, layers)| {
+        let block = proptest::collection::vec(
+            (80u32..86).prop_map(|k| f64::from(k) * 18.4),
+            layers * STRINGS as usize,
+        );
+        proptest::collection::vec(block, pools * blocks).prop_map(move |latencies| {
+            let mut pool = BlockPool::new(pools, STRINGS);
+            for (i, t) in latencies.into_iter().enumerate() {
+                let p = i % pools;
+                let addr =
+                    BlockAddr::new(ChipId(p as u16), PlaneId(0), BlockId((i / pools) as u32));
+                pool.push(p, BlockProfile::new(addr, 0, t, 3500.0)).unwrap();
+            }
+            pool
+        })
+    })
+}
+
+/// The plain windowed brute force, from the public API only: each round
+/// takes the `window` fastest remaining blocks of every pool (by
+/// program-latency sum, ties by insertion order), scores every combination
+/// in mixed-radix order (pool 0 varying fastest) and keeps the first
+/// strictly lowest.
+fn windowed_brute_force<S: PartialOrd>(
+    pool: &BlockPool,
+    window: usize,
+    score: impl Fn(&[&BlockProfile]) -> S,
+) -> Vec<Superblock> {
+    let pools = pool.pool_count();
+    let mut remaining: Vec<Vec<usize>> = (0..pools)
+        .map(|p| {
+            let blocks = pool.pool(p);
+            let mut order: Vec<usize> = (0..blocks.len()).collect();
+            order.sort_by(|&a, &b| {
+                blocks[a].pgm_sum_us().partial_cmp(&blocks[b].pgm_sum_us()).unwrap().then(a.cmp(&b))
+            });
+            order
+        })
+        .collect();
+    let mut sbs = Vec::new();
+    for _ in 0..pool.min_pool_len() {
+        let sizes: Vec<usize> = remaining.iter().map(|r| r.len().min(window)).collect();
+        let mut picks = vec![0usize; pools];
+        let mut best: Option<(S, Vec<usize>)> = None;
+        'combos: loop {
+            let members: Vec<&BlockProfile> =
+                (0..pools).map(|p| &pool.pool(p)[remaining[p][picks[p]]]).collect();
+            let s = score(&members);
+            if best.as_ref().is_none_or(|(b, _)| s < *b) {
+                best = Some((s, picks.clone()));
+            }
+            for (pick, &size) in picks.iter_mut().zip(&sizes) {
+                *pick += 1;
+                if *pick < size {
+                    continue 'combos;
+                }
+                *pick = 0;
+            }
+            break;
+        }
+        let (_, picks) = best.expect("windows are never empty");
+        sbs.push(Superblock::new(
+            (0..pools).map(|p| pool.pool(p)[remaining[p][picks[p]]].addr()).collect(),
+        ));
+        for (r, &pick) in remaining.iter_mut().zip(&picks) {
+            r.remove(pick);
+        }
+    }
+    sbs
+}
+
+/// Summed per-word-line spread, in word-line order: Optimal's objective.
+fn spread_sum(members: &[&BlockProfile]) -> f64 {
+    let mut sum = 0.0;
+    for wl in 0..members[0].wl_count() {
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        for m in members {
+            min = min.min(m.tprog_us()[wl]);
+            max = max.max(m.tprog_us()[wl]);
+        }
+        sum += max - min;
+    }
+    sum
+}
+
+/// Summed pairwise Equation-1 distance under one rank strategy.
+fn rank_score(strategy: RankStrategy, members: &[&BlockProfile]) -> u64 {
+    let mut total = 0u64;
+    for (a, x) in members.iter().enumerate() {
+        for y in &members[a + 1..] {
+            let (x, y) = (x.tprog_us(), y.tprog_us());
+            total += u64::from(match strategy {
+                RankStrategy::Lwl => rank_distance(&rank::lwl_ranks(x), &rank::lwl_ranks(y)),
+                RankStrategy::Pwl => {
+                    rank_distance(&rank::pwl_ranks(x, STRINGS), &rank::pwl_ranks(y, STRINGS))
+                }
+                RankStrategy::Str => {
+                    rank_distance(&rank::str_ranks(x, STRINGS), &rank::str_ranks(y, STRINGS))
+                }
+                RankStrategy::StrMedian => {
+                    rank::str_median_eigen(x, STRINGS).distance(&rank::str_median_eigen(y, STRINGS))
+                }
+            });
+        }
+    }
+    total
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn windowed_searches_match_plain_brute_force(pool in arb_quantized_pool(), window in 1usize..10) {
+        let optimal = OptimalAssembly::new(window).assemble(&pool);
+        prop_assert_eq!(optimal, windowed_brute_force(&pool, window, spread_sum), "Optimal({})", window);
+        for strategy in
+            [RankStrategy::Lwl, RankStrategy::Pwl, RankStrategy::Str, RankStrategy::StrMedian]
+        {
+            let ranked = RankAssembly::new(strategy, window).assemble(&pool);
+            let expected = windowed_brute_force(&pool, window, |m| rank_score(strategy, m));
+            prop_assert_eq!(ranked, expected, "{:?}({})", strategy, window);
+        }
+    }
+}
