@@ -1,18 +1,12 @@
-//! Micro-benchmarks of the event core's scheduler primitives: calendar
-//! queue push/pop, the sorted-ring depth tracker, and arena alloc/free.
+//! Micro-benchmarks of the event core's scheduler primitives: the
+//! sorted-ring depth tracker and arena alloc/free.
 //!
 //! These isolate the structures behind the timed replay and the frontend
-//! drain so a throughput regression can be attributed: is the queue, the
-//! tracker or the arena slower, or is it the replay loop around them?
+//! drain so a throughput regression can be attributed: is the tracker or
+//! the arena slower, or is it the replay loop around them?
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ftl::sched::{Arena, CalendarQueue, DepthTracker};
-
-/// Deterministic scatter of event times across a 10 ms span — wide enough
-/// to exercise bucket rotation and at least one resize cycle.
-fn scattered_times(n: u32) -> Vec<f64> {
-    (0..n).map(|i| f64::from((i.wrapping_mul(7919)) % 10_000)).collect()
-}
+use ftl::sched::{Arena, DepthTracker};
 
 /// Near-sorted completion times the way a replay produces them: a
 /// monotone base clock plus a small per-chip service jitter.
@@ -21,38 +15,7 @@ fn near_sorted_times(n: u32) -> Vec<f64> {
 }
 
 fn bench_events(c: &mut Criterion) {
-    let scattered = scattered_times(4096);
     let near_sorted = near_sorted_times(4096);
-
-    c.bench_function("calendar_push_pop_4096_scattered", |b| {
-        b.iter(|| {
-            let mut q = CalendarQueue::new();
-            for (i, &t) in scattered.iter().enumerate() {
-                q.push(black_box(t), i as u32);
-            }
-            let mut acc = 0.0;
-            while let Some(ev) = q.pop_min() {
-                acc += ev.time;
-            }
-            acc
-        })
-    });
-
-    c.bench_function("calendar_arrive_probe_4096", |b| {
-        // The steady-state shape: a standing backlog probed by arrivals
-        // that mostly retire nothing (min_cache fast path).
-        let mut q = CalendarQueue::new();
-        for (i, &t) in near_sorted.iter().enumerate() {
-            q.complete_at(t + f64::from(i as u32));
-        }
-        b.iter(|| {
-            let mut depth = 0usize;
-            for i in 0..4096u32 {
-                depth = depth.wrapping_add(q.arrive(black_box(f64::from(i) * 0.001)));
-            }
-            depth
-        })
-    });
 
     c.bench_function("depth_tracker_replay_4096", |b| {
         // One complete_at + one arrive per op, near-sorted input — the

@@ -2,8 +2,8 @@
 //! experiment index and `EXPERIMENTS.md` for paper-vs-measured numbers.
 
 use crate::runner::{
-    measure_each, run_scheme, run_scheme_with, run_schemes_parallel_with, ExperimentParams,
-    PoolCache, SchemeKind, SchemeStats,
+    measure_each, run_scheme_with, run_schemes_parallel_with, ExperimentParams, PoolCache,
+    SchemeKind, SchemeStats,
 };
 use flash_model::{FlashArray, FlashConfig, Geometry, PwlLayer, StringId};
 use ftl::{
@@ -26,13 +26,6 @@ pub struct ComparisonResult {
 }
 
 impl ComparisonResult {
-    /// Runs the given roster against the random baseline with a private
-    /// cache (see [`ComparisonResult::run_with`]).
-    #[must_use]
-    pub fn run(params: &ExperimentParams, roster: &[SchemeKind]) -> Self {
-        Self::run_with(params, &params.cache(), roster)
-    }
-
     /// Runs the given roster against the random baseline over a shared
     /// characterization cache.
     ///
@@ -52,23 +45,11 @@ impl ComparisonResult {
 
 /// Table I: the eight organization directions.
 #[must_use]
-pub fn table1(params: &ExperimentParams) -> ComparisonResult {
-    table1_with(params, &params.cache())
-}
-
-/// [`table1`] over a shared characterization cache.
-#[must_use]
 pub fn table1_with(params: &ExperimentParams, cache: &PoolCache) -> ComparisonResult {
     ComparisonResult::run_with(params, cache, &SchemeKind::table1_roster())
 }
 
 /// Table II: STR-RANK under window sizes 8, 6, 4, 2.
-#[must_use]
-pub fn table2(params: &ExperimentParams) -> ComparisonResult {
-    table2_with(params, &params.cache())
-}
-
-/// [`table2`] over a shared characterization cache.
 #[must_use]
 pub fn table2_with(params: &ExperimentParams, cache: &PoolCache) -> ComparisonResult {
     let roster = [
@@ -82,12 +63,6 @@ pub fn table2_with(params: &ExperimentParams, cache: &PoolCache) -> ComparisonRe
 
 /// Table V / Figure 12: the headline comparison (random, sequential,
 /// optimal, QSTR-MED(4), STR-MED(4)).
-#[must_use]
-pub fn table5(params: &ExperimentParams) -> ComparisonResult {
-    table5_with(params, &params.cache())
-}
-
-/// [`table5`] over a shared characterization cache.
 #[must_use]
 pub fn table5_with(params: &ExperimentParams, cache: &PoolCache) -> ComparisonResult {
     let roster = [
@@ -152,12 +127,6 @@ pub struct Fig6Data {
 /// Figure 6: the random baseline's extra latency per superblock, and its
 /// trend across P/E cycles.
 #[must_use]
-pub fn fig6(params: &ExperimentParams) -> Fig6Data {
-    fig6_with(params, &params.cache())
-}
-
-/// [`fig6`] over a shared characterization cache.
-#[must_use]
 pub fn fig6_with(params: &ExperimentParams, cache: &PoolCache) -> Fig6Data {
     let pool = cache.pool(params.group_seeds[0], params.pe_points[0]);
     let sbs = SchemeKind::Random.assembler(params.group_seeds[0]).assemble(&pool);
@@ -187,12 +156,6 @@ pub struct Histogram {
 }
 
 /// Figure 13: distribution of extra program latency per scheme.
-#[must_use]
-pub fn fig13(params: &ExperimentParams, bin_us: f64) -> Vec<Histogram> {
-    fig13_with(params, &params.cache(), bin_us)
-}
-
-/// [`fig13`] over a shared characterization cache.
 #[must_use]
 pub fn fig13_with(params: &ExperimentParams, cache: &PoolCache, bin_us: f64) -> Vec<Histogram> {
     let kinds = [
@@ -232,12 +195,6 @@ pub struct Fig14Data {
 
 /// Figure 14: all superblocks, STR-MED(4) vs QSTR-MED(4).
 #[must_use]
-pub fn fig14(params: &ExperimentParams) -> Fig14Data {
-    fig14_with(params, &params.cache())
-}
-
-/// [`fig14`] over a shared characterization cache.
-#[must_use]
 pub fn fig14_with(params: &ExperimentParams, cache: &PoolCache) -> Fig14Data {
     let pool = cache.pool(params.group_seeds[0], params.pe_points[0]);
     let sorted_extras = |kind: SchemeKind| -> Vec<f64> {
@@ -268,12 +225,6 @@ pub struct Fig15Data {
 
 /// Figure 15: QSTR-MED's extra latencies vs. the baseline across wear.
 #[must_use]
-pub fn fig15(params: &ExperimentParams, pe_points: &[u32]) -> Fig15Data {
-    fig15_with(params, &params.cache(), pe_points)
-}
-
-/// [`fig15`] over a shared characterization cache.
-#[must_use]
 pub fn fig15_with(params: &ExperimentParams, cache: &PoolCache, pe_points: &[u32]) -> Fig15Data {
     let rows = pe_points
         .iter()
@@ -303,12 +254,6 @@ pub struct OverheadData {
 }
 
 /// Computing- and space-overhead analysis.
-#[must_use]
-pub fn overhead_analysis(params: &ExperimentParams) -> OverheadData {
-    overhead_analysis_with(params, &params.cache())
-}
-
-/// [`overhead_analysis`] over a shared characterization cache.
 #[must_use]
 pub fn overhead_analysis_with(params: &ExperimentParams, cache: &PoolCache) -> OverheadData {
     let pool = cache.pool(params.group_seeds[0], params.pe_points[0]);
@@ -1090,7 +1035,7 @@ pub fn ablation(params: &ExperimentParams) -> Vec<(String, f64, f64)> {
             config: FlashConfig { geometry: params.config.geometry.clone(), variation: cfg },
             ..params.clone()
         };
-        let s = run_scheme(&p, SchemeKind::Random);
+        let s = run_scheme_with(&p, &p.cache(), SchemeKind::Random);
         (name.to_string(), s.extra_pgm_us, s.extra_ers_us)
     };
     let base = params.config.variation.clone();
@@ -1121,12 +1066,6 @@ pub fn ablation(params: &ExperimentParams) -> Vec<(String, f64, f64)> {
 /// Ablation: QSTR-MED candidate-list depth (the paper fixes 4; this sweeps
 /// 1..=8 to show the knee). Returns `(candidates, extra PGM µs, checks per
 /// superblock)`.
-#[must_use]
-pub fn qstr_candidate_sweep(params: &ExperimentParams) -> Vec<(usize, f64, f64)> {
-    qstr_candidate_sweep_with(params, &params.cache())
-}
-
-/// [`qstr_candidate_sweep`] over a shared characterization cache.
 #[must_use]
 pub fn qstr_candidate_sweep_with(
     params: &ExperimentParams,
@@ -1181,12 +1120,6 @@ pub fn ers_corr_ablation(params: &ExperimentParams) -> Vec<(f64, f64, f64)> {
 
 /// §III characterization statistics: per-pool means/spreads, the
 /// erase-program correlation and the same-offset similarity premise.
-#[must_use]
-pub fn pool_stats(params: &ExperimentParams) -> pvcheck::analysis::PoolStatistics {
-    pool_stats_with(params, &params.cache())
-}
-
-/// [`pool_stats`] over a shared characterization cache.
 #[must_use]
 pub fn pool_stats_with(
     params: &ExperimentParams,
@@ -1694,7 +1627,7 @@ mod tests {
     #[test]
     fn table2_runs_quickly_on_small_params() {
         let params = ExperimentParams::quick();
-        let r = table2(&params);
+        let r = table2_with(&params, &params.cache());
         assert_eq!(r.schemes.len(), 4);
         for s in &r.schemes {
             assert!(s.extra_pgm_us <= r.baseline.extra_pgm_us * 1.05, "{s:?}");
@@ -1712,7 +1645,7 @@ mod tests {
     #[test]
     fn fig6_reports_every_superblock() {
         let params = ExperimentParams::quick();
-        let d = fig6(&params);
+        let d = fig6_with(&params, &params.cache());
         assert_eq!(d.per_superblock.len(), 96);
         assert_eq!(d.per_pe.len(), 1);
     }
@@ -1720,7 +1653,7 @@ mod tests {
     #[test]
     fn fig13_histograms_cover_all_superblocks() {
         let params = ExperimentParams::quick();
-        let hists = fig13(&params, 1000.0);
+        let hists = fig13_with(&params, &params.cache(), 1000.0);
         for h in &hists {
             let total: u32 = h.counts.iter().sum();
             assert_eq!(total, 96, "{}", h.name);
@@ -1730,7 +1663,7 @@ mod tests {
     #[test]
     fn fig14_curves_align() {
         let params = ExperimentParams::quick();
-        let d = fig14(&params);
+        let d = fig14_with(&params, &params.cache());
         assert_eq!(d.rows.len(), 96);
         // Sorted ascending.
         assert!(d.rows.windows(2).all(|w| w[0].1 <= w[1].1));
@@ -1739,7 +1672,7 @@ mod tests {
     #[test]
     fn overhead_matches_paper_constants() {
         let params = ExperimentParams::quick();
-        let o = overhead_analysis(&params);
+        let o = overhead_analysis_with(&params, &params.cache());
         assert_eq!(o.str_med_checks, 1536);
         assert_eq!(o.qstr_med_checks, 12);
         assert!((o.reduction_pct - 99.22).abs() < 0.01);
@@ -1755,7 +1688,7 @@ mod tests {
     #[test]
     fn candidate_sweep_improves_then_plateaus() {
         let params = ExperimentParams::quick();
-        let rows = qstr_candidate_sweep(&params);
+        let rows = qstr_candidate_sweep_with(&params, &params.cache());
         assert_eq!(rows.len(), 8);
         // Deeper candidate lists never cost accuracy catastrophically and
         // check counts grow linearly.
@@ -1776,7 +1709,7 @@ mod tests {
     #[test]
     fn pool_stats_reflect_model_structure() {
         let params = ExperimentParams::quick();
-        let stats = pool_stats(&params);
+        let stats = pool_stats_with(&params, &params.cache());
         assert!(stats.bers_pgm_correlation > 0.2);
         assert!(stats.offset_similarity_holds());
     }

@@ -285,14 +285,6 @@ pub fn run_scheme_with(
     reduce_cells(kind, &results)
 }
 
-/// Runs one scheme with a private, throwaway cache.
-///
-/// Batch callers share one cache via [`run_scheme_with`] instead.
-#[must_use]
-pub fn run_scheme(params: &ExperimentParams, kind: SchemeKind) -> SchemeStats {
-    run_scheme_with(params, &params.cache(), kind)
-}
-
 /// Runs several schemes in parallel over a shared characterization cache.
 ///
 /// The unit of parallelism is one `(scheme, pe, group)` cell, drained from
@@ -300,7 +292,7 @@ pub fn run_scheme(params: &ExperimentParams, kind: SchemeKind) -> SchemeStats {
 /// cost (Optimal windows vs. a random zip) instead of serializing behind
 /// the slowest scheme as the old thread-per-scheme split did. Each scheme's
 /// cells are then reduced in the canonical sequential order, which keeps
-/// the returned [`SchemeStats`] bit-identical to [`run_scheme`].
+/// the returned [`SchemeStats`] bit-identical to [`run_scheme_with`].
 #[must_use]
 pub fn run_schemes_parallel_with(
     params: &ExperimentParams,
@@ -346,12 +338,6 @@ pub fn run_schemes_parallel_with(
         .collect()
 }
 
-/// Runs several schemes in parallel with a private, throwaway cache.
-#[must_use]
-pub fn run_schemes_parallel(params: &ExperimentParams, kinds: &[SchemeKind]) -> Vec<SchemeStats> {
-    run_schemes_parallel_with(params, &params.cache(), kinds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,8 +360,8 @@ mod tests {
     #[test]
     fn run_scheme_is_deterministic() {
         let p = ExperimentParams::quick();
-        let a = run_scheme(&p, SchemeKind::Sequential);
-        let b = run_scheme(&p, SchemeKind::Sequential);
+        let a = run_scheme_with(&p, &p.cache(), SchemeKind::Sequential);
+        let b = run_scheme_with(&p, &p.cache(), SchemeKind::Sequential);
         assert_eq!(a, b);
     }
 
@@ -401,8 +387,9 @@ mod tests {
     #[test]
     fn qstr_beats_random_in_quick_run() {
         let p = ExperimentParams::quick();
-        let rnd = run_scheme(&p, SchemeKind::Random);
-        let q = run_scheme(&p, SchemeKind::QstrMed(4));
+        let cache = p.cache();
+        let rnd = run_scheme_with(&p, &cache, SchemeKind::Random);
+        let q = run_scheme_with(&p, &cache, SchemeKind::QstrMed(4));
         assert!(q.extra_pgm_us < rnd.extra_pgm_us);
     }
 }

@@ -7,8 +7,7 @@
 use flash_model::FlashConfig;
 use repro_bench::experiments::ComparisonResult;
 use repro_bench::runner::{
-    measure, run_scheme, run_scheme_with, run_schemes_parallel_with, ExperimentParams, SchemeKind,
-    SchemeStats,
+    measure, run_scheme_with, run_schemes_parallel_with, ExperimentParams, SchemeKind, SchemeStats,
 };
 
 /// Parameters small enough to afford several fresh characterizations but
@@ -57,8 +56,8 @@ fn cached_run_scheme_equals_fresh_sequential() {
         let fresh = reference_sequential(&params, kind);
         let cached = run_scheme_with(&params, &cache, kind);
         assert_eq!(fresh, cached, "{kind:?}");
-        // The convenience wrapper (private cache) agrees too.
-        assert_eq!(fresh, run_scheme(&params, kind), "{kind:?}");
+        // A private, throwaway cache agrees too.
+        assert_eq!(fresh, run_scheme_with(&params, &params.cache(), kind), "{kind:?}");
     }
 }
 

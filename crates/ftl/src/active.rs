@@ -103,11 +103,6 @@ impl ActiveSlots {
         self.latency_critical = None;
         self.background = None;
     }
-
-    /// Whether no superblock is open in any slot.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
-    }
 }
 
 /// A superblock member whose word-line program reported status fail.

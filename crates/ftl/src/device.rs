@@ -203,21 +203,6 @@ impl Ssd {
         })
     }
 
-    /// Swaps the page mapping for the original `HashMap`-backed reference
-    /// implementation. Semantics are identical; per-block validity queries
-    /// go back to scanning every mapped page. It is the lockstep oracle of
-    /// the recovery tests and the `benches/gc.rs` baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any page has been written already (the existing mapping
-    /// state would be lost).
-    pub fn use_naive_mapping_for_benchmarks(&mut self) {
-        assert_eq!(self.mapping.valid_pages(), 0, "switch mappings only on a fresh device");
-        assert!(self.actives.is_empty(), "switch mappings only on a fresh device");
-        self.mapping = Mapping::new_naive(self.logical_pages);
-    }
-
     /// Shape summary for workload generation.
     #[must_use]
     pub fn geometry_info(&self) -> GeometryInfo {
@@ -2512,31 +2497,6 @@ mod tests {
         // exceeds foreground service alone.
         let occupancy: f64 = s.chip_busy_us.iter().sum();
         assert!(occupancy > 0.0);
-    }
-
-    #[test]
-    fn naive_mapping_reproduces_dense_results_bit_for_bit() {
-        // The HashMap reference implementation must make identical decisions
-        // — this is what lets perf_replay time a genuine before/after on the
-        // same binary.
-        let run = |naive: bool| {
-            let mut dev = ssd(OrganizationScheme::QstrMed { candidates: 4 });
-            if naive {
-                dev.use_naive_mapping_for_benchmarks();
-            }
-            let info = dev.geometry_info();
-            let reqs =
-                Workload::random_write(0.5).generate(&info, (info.logical_pages * 3) as usize, 7);
-            dev.run(&reqs).unwrap();
-            (
-                dev.stats().write_latency.mean_us().to_bits(),
-                dev.stats().waf().to_bits(),
-                dev.stats().busy_us.to_bits(),
-                dev.stats().gc_relocations,
-                dev.stats().gc_runs,
-            )
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -1,78 +1,48 @@
 //! Logical-to-physical page mapping with validity tracking.
 //!
-//! Two interchangeable stores implement the same semantics:
-//!
-//! * **Dense** (the default, [`Mapping::new`]) — the reverse map is a flat
-//!   `Vec` indexed by [`Geometry::page_index`], with a per-block valid-page
-//!   counter maintained incrementally on every map/unmap/trim. Validity
-//!   queries ([`Mapping::valid_in_block_count`]) are O(1) counter reads and
-//!   [`Mapping::valid_in_block`] walks only the block's contiguous index
-//!   range, so garbage collection stops rescanning the whole device.
-//! * **Naive** ([`Mapping::new_naive`]) — the original `HashMap`-backed
-//!   reverse map whose per-block queries scan every mapped page. Retained as
-//!   the reference implementation for the lockstep oracle tests and the
-//!   `benches/gc.rs` microbench; both stores make identical decisions, the
-//!   dense one just answers in O(1).
+//! The reverse map is a flat `Vec` indexed by [`Geometry::page_index`],
+//! with a per-block valid-page counter maintained incrementally on every
+//! map/unmap/trim. Validity queries ([`Mapping::valid_in_block_count`]) are
+//! O(1) counter reads and [`Mapping::valid_in_block`] walks only the
+//! block's contiguous index range, so garbage collection never rescans the
+//! whole device. The `HashMap` model it replaced is the differential
+//! oracle of `tests/properties.rs`.
 
 use flash_model::{BlockAddr, Geometry, PageAddr};
-use std::collections::HashMap;
 
-/// Sentinel marking an invalid (unmapped) physical page in the dense store.
+/// Sentinel marking an invalid (unmapped) physical page in the reverse map.
 /// Safe because stored LPNs are always below the logical capacity.
 const INVALID: u64 = u64::MAX;
 
-#[derive(Debug, Clone)]
-enum Store {
-    Dense {
-        /// Reverse map indexed by `Geometry::page_index`; `INVALID` = stale.
-        p2l: Vec<u64>,
-        /// Valid-page count per `Geometry::block_index`.
-        block_valid: Vec<u32>,
-        /// Total valid pages (sum of `block_valid`).
-        valid: usize,
-        /// Geometry defining the flattening.
-        geo: Geometry,
-    },
-    Naive {
-        p2l: HashMap<PageAddr, u64>,
-    },
-}
-
 /// Page-level L2P/P2L mapping.
 ///
-/// Invariant: `l2p[lpn] == Some(ppa)` iff the reverse store maps `ppa` to
-/// `lpn`; a physical page absent from the reverse store is invalid (stale or
-/// never written).
+/// Invariant: `l2p[lpn] == Some(ppa)` iff `p2l` maps `ppa` to `lpn`; a
+/// physical page holding `INVALID` is invalid (stale or never written).
 #[derive(Debug, Clone)]
 pub struct Mapping {
     l2p: Vec<Option<PageAddr>>,
-    store: Store,
+    /// Reverse map indexed by `Geometry::page_index`; `INVALID` = stale.
+    p2l: Vec<u64>,
+    /// Valid-page count per `Geometry::block_index`.
+    block_valid: Vec<u32>,
+    /// Total valid pages (sum of `block_valid`).
+    valid: usize,
+    /// Geometry defining the flattening.
+    geo: Geometry,
 }
 
 impl Mapping {
-    /// A dense mapping exporting `capacity` logical pages over `geo`'s
-    /// physical space, all unmapped.
+    /// A mapping exporting `capacity` logical pages over `geo`'s physical
+    /// space, all unmapped.
     #[must_use]
     pub fn new(capacity: u64, geo: &Geometry) -> Self {
         Mapping {
             l2p: vec![None; capacity as usize],
-            store: Store::Dense {
-                p2l: vec![INVALID; geo.total_pages() as usize],
-                block_valid: vec![0; geo.total_blocks() as usize],
-                valid: 0,
-                geo: geo.clone(),
-            },
+            p2l: vec![INVALID; geo.total_pages() as usize],
+            block_valid: vec![0; geo.total_blocks() as usize],
+            valid: 0,
+            geo: geo.clone(),
         }
-    }
-
-    /// The `HashMap`-backed reference mapping (original implementation).
-    ///
-    /// Semantically identical to [`Mapping::new`] but every per-block query
-    /// scans all mapped pages. Kept for oracle tests and the before/after
-    /// GC benchmarks; not meant for production paths.
-    #[must_use]
-    pub fn new_naive(capacity: u64) -> Self {
-        Mapping { l2p: vec![None; capacity as usize], store: Store::Naive { p2l: HashMap::new() } }
     }
 
     /// Exported logical capacity in pages.
@@ -90,13 +60,8 @@ impl Mapping {
     /// Logical page stored at a physical page, if it is valid.
     #[must_use]
     pub fn reverse(&self, ppa: PageAddr) -> Option<u64> {
-        match &self.store {
-            Store::Dense { p2l, geo, .. } => {
-                let lpn = p2l[geo.page_index(ppa)];
-                (lpn != INVALID).then_some(lpn)
-            }
-            Store::Naive { p2l } => p2l.get(&ppa).copied(),
-        }
+        let lpn = self.p2l[self.geo.page_index(ppa)];
+        (lpn != INVALID).then_some(lpn)
     }
 
     /// Whether a physical page holds valid data.
@@ -108,10 +73,7 @@ impl Mapping {
     /// Number of valid physical pages.
     #[must_use]
     pub fn valid_pages(&self) -> usize {
-        match &self.store {
-            Store::Dense { valid, .. } => *valid,
-            Store::Naive { p2l } => p2l.len(),
-        }
+        self.valid
     }
 
     /// Maps `lpn` to `ppa`, invalidating any previous location.
@@ -125,19 +87,11 @@ impl Mapping {
         if let Some(old) = self.l2p[lpn as usize].take() {
             self.clear_reverse(old);
         }
-        match &mut self.store {
-            Store::Dense { p2l, block_valid, valid, geo } => {
-                let idx = geo.page_index(ppa);
-                assert!(p2l[idx] == INVALID, "physical page written twice without erase");
-                p2l[idx] = lpn;
-                block_valid[geo.block_index(ppa.wl.block)] += 1;
-                *valid += 1;
-            }
-            Store::Naive { p2l } => {
-                let prev = p2l.insert(ppa, lpn);
-                assert!(prev.is_none(), "physical page written twice without erase");
-            }
-        }
+        let idx = self.geo.page_index(ppa);
+        assert!(self.p2l[idx] == INVALID, "physical page written twice without erase");
+        self.p2l[idx] = lpn;
+        self.block_valid[self.geo.block_index(ppa.wl.block)] += 1;
+        self.valid += 1;
         self.l2p[lpn as usize] = Some(ppa);
     }
 
@@ -155,20 +109,13 @@ impl Mapping {
         old
     }
 
-    /// Drops the reverse-store record of one page, fixing the counters.
+    /// Drops the reverse-map record of one page, fixing the counters.
     fn clear_reverse(&mut self, ppa: PageAddr) {
-        match &mut self.store {
-            Store::Dense { p2l, block_valid, valid, geo } => {
-                let idx = geo.page_index(ppa);
-                if p2l[idx] != INVALID {
-                    p2l[idx] = INVALID;
-                    block_valid[geo.block_index(ppa.wl.block)] -= 1;
-                    *valid -= 1;
-                }
-            }
-            Store::Naive { p2l } => {
-                p2l.remove(&ppa);
-            }
+        let idx = self.geo.page_index(ppa);
+        if self.p2l[idx] != INVALID {
+            self.p2l[idx] = INVALID;
+            self.block_valid[self.geo.block_index(ppa.wl.block)] -= 1;
+            self.valid -= 1;
         }
     }
 
@@ -176,81 +123,44 @@ impl Mapping {
     pub fn invalidate_block(&mut self, block: BlockAddr) {
         // Erase only happens after relocation, so every page of the block
         // must already be invalid; this is a defensive sweep.
-        match &mut self.store {
-            Store::Dense { p2l, block_valid, valid, geo } => {
-                let bi = geo.block_index(block);
-                if block_valid[bi] == 0 {
-                    return;
-                }
-                let ppb = geo.pages_per_block() as usize;
-                let base = bi * ppb;
-                for slot in &mut p2l[base..base + ppb] {
-                    let lpn = std::mem::replace(slot, INVALID);
-                    if lpn != INVALID {
-                        self.l2p[lpn as usize] = None;
-                        *valid -= 1;
-                    }
-                }
-                block_valid[bi] = 0;
-            }
-            Store::Naive { p2l } => {
-                let stale: Vec<PageAddr> =
-                    p2l.keys().filter(|p| p.wl.block == block).copied().collect();
-                for ppa in stale {
-                    if let Some(lpn) = p2l.remove(&ppa) {
-                        self.l2p[lpn as usize] = None;
-                    }
-                }
+        let bi = self.geo.block_index(block);
+        if self.block_valid[bi] == 0 {
+            return;
+        }
+        let ppb = self.geo.pages_per_block() as usize;
+        let base = bi * ppb;
+        for slot in &mut self.p2l[base..base + ppb] {
+            let lpn = std::mem::replace(slot, INVALID);
+            if lpn != INVALID {
+                self.l2p[lpn as usize] = None;
+                self.valid -= 1;
             }
         }
+        self.block_valid[bi] = 0;
     }
 
-    /// Number of valid pages currently stored in a block.
-    ///
-    /// Dense store: one O(1) counter read. Naive store: a scan over every
-    /// mapped page (the original cost this counter replaces).
+    /// Number of valid pages currently stored in a block: one O(1) counter
+    /// read.
     #[must_use]
     pub fn valid_in_block_count(&self, block: BlockAddr) -> usize {
-        match &self.store {
-            Store::Dense { block_valid, geo, .. } => block_valid[geo.block_index(block)] as usize,
-            Store::Naive { p2l } => p2l.keys().filter(|p| p.wl.block == block).count(),
-        }
+        self.block_valid[self.geo.block_index(block)] as usize
     }
 
     /// Valid logical pages currently stored in a block, with locations, in
     /// `(lwl, page)` program order. Alloc-free; collect into a reusable
     /// buffer when the mapping must be mutated while iterating.
     pub fn valid_in_block(&self, block: BlockAddr) -> impl Iterator<Item = (u64, PageAddr)> + '_ {
-        let dense = match &self.store {
-            Store::Dense { p2l, geo, .. } => {
-                let ppb = geo.pages_per_block() as usize;
-                let base = geo.block_index(block) * ppb;
-                Some(
-                    p2l[base..base + ppb]
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &lpn)| lpn != INVALID)
-                        .map(move |(off, &lpn)| (lpn, geo.page_at_offset(block, off))),
-                )
-            }
-            Store::Naive { .. } => None,
-        };
-        let naive = match &self.store {
-            Store::Naive { p2l } => {
-                let mut v: Vec<(u64, PageAddr)> = p2l
-                    .iter()
-                    .filter(|(p, _)| p.wl.block == block)
-                    .map(|(p, &l)| (l, *p))
-                    .collect();
-                v.sort_by_key(|&(_, p)| (p.wl.lwl, p.page.index()));
-                Some(v.into_iter())
-            }
-            Store::Dense { .. } => None,
-        };
-        dense.into_iter().flatten().chain(naive.into_iter().flatten())
+        let ppb = self.geo.pages_per_block() as usize;
+        let base = self.geo.block_index(block) * ppb;
+        self.p2l[base..base + ppb]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &lpn)| lpn != INVALID)
+            .map(move |(off, &lpn)| (lpn, self.geo.page_at_offset(block, off)))
     }
 
-    /// Checks the L2P/P2L bijection invariant (for tests).
+    /// Checks the L2P/P2L bijection, each block's valid counter against a
+    /// recount of its pages, and the total valid count (for tests).
     #[must_use]
     pub fn is_consistent(&self) -> bool {
         let forward_ok = self
@@ -262,30 +172,25 @@ impl Mapping {
         if !forward_ok {
             return false;
         }
-        match &self.store {
-            Store::Dense { p2l, block_valid, valid, geo } => {
-                let ppb = geo.pages_per_block() as usize;
-                let mut total = 0usize;
-                for (bi, &count) in block_valid.iter().enumerate() {
-                    let base = bi * ppb;
-                    let live = p2l[base..base + ppb].iter().filter(|&&l| l != INVALID).count();
-                    if live != count as usize {
-                        return false;
-                    }
-                    total += live;
-                }
-                if total != *valid {
-                    return false;
-                }
-                p2l.iter().enumerate().filter(|(_, &l)| l != INVALID).all(|(i, &l)| {
-                    match self.l2p[l as usize] {
-                        Some(p) => geo.page_index(p) == i,
-                        None => false,
-                    }
-                })
+        let ppb = self.geo.pages_per_block() as usize;
+        let mut total = 0usize;
+        for (bi, &count) in self.block_valid.iter().enumerate() {
+            let base = bi * ppb;
+            let live = self.p2l[base..base + ppb].iter().filter(|&&l| l != INVALID).count();
+            if live != count as usize {
+                return false;
             }
-            Store::Naive { p2l } => p2l.iter().all(|(p, &l)| self.l2p[l as usize] == Some(*p)),
+            total += live;
         }
+        if total != self.valid {
+            return false;
+        }
+        self.p2l.iter().enumerate().filter(|(_, &l)| l != INVALID).all(|(i, &l)| {
+            match self.l2p[l as usize] {
+                Some(p) => self.geo.page_index(p) == i,
+                None => false,
+            }
+        })
     }
 }
 
@@ -298,33 +203,27 @@ mod tests {
         Geometry::new(2, 1, 4, 2, 2, CellType::Tlc)
     }
 
-    fn both(capacity: u64) -> [Mapping; 2] {
-        [Mapping::new(capacity, &geo()), Mapping::new_naive(capacity)]
-    }
-
     fn ppa(b: u32, lwl: u32, pt: PageType) -> PageAddr {
         BlockAddr::new(ChipId(0), PlaneId(0), BlockId(b)).wl(LwlId(lwl)).page(pt)
     }
 
     #[test]
     fn map_and_lookup_roundtrip() {
-        for mut m in both(10) {
-            m.map(3, ppa(0, 0, PageType::Lsb));
-            assert_eq!(m.lookup(3), Some(ppa(0, 0, PageType::Lsb)));
-            assert_eq!(m.reverse(ppa(0, 0, PageType::Lsb)), Some(3));
-            assert!(m.is_consistent());
-        }
+        let mut m = Mapping::new(10, &geo());
+        m.map(3, ppa(0, 0, PageType::Lsb));
+        assert_eq!(m.lookup(3), Some(ppa(0, 0, PageType::Lsb)));
+        assert_eq!(m.reverse(ppa(0, 0, PageType::Lsb)), Some(3));
+        assert!(m.is_consistent());
     }
 
     #[test]
     fn remap_invalidates_old_location() {
-        for mut m in both(10) {
-            m.map(3, ppa(0, 0, PageType::Lsb));
-            m.map(3, ppa(1, 0, PageType::Lsb));
-            assert!(!m.is_valid(ppa(0, 0, PageType::Lsb)));
-            assert_eq!(m.lookup(3), Some(ppa(1, 0, PageType::Lsb)));
-            assert!(m.is_consistent());
-        }
+        let mut m = Mapping::new(10, &geo());
+        m.map(3, ppa(0, 0, PageType::Lsb));
+        m.map(3, ppa(1, 0, PageType::Lsb));
+        assert!(!m.is_valid(ppa(0, 0, PageType::Lsb)));
+        assert_eq!(m.lookup(3), Some(ppa(1, 0, PageType::Lsb)));
+        assert!(m.is_consistent());
     }
 
     #[test]
@@ -336,48 +235,37 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "written twice")]
-    fn naive_double_write_to_same_ppa_panics() {
-        let mut m = Mapping::new_naive(10);
-        m.map(1, ppa(0, 0, PageType::Lsb));
-        m.map(2, ppa(0, 0, PageType::Lsb));
-    }
-
-    #[test]
     fn unmap_clears_both_directions() {
-        for mut m in both(10) {
-            m.map(3, ppa(0, 0, PageType::Lsb));
-            assert_eq!(m.unmap(3), Some(ppa(0, 0, PageType::Lsb)));
-            assert_eq!(m.lookup(3), None);
-            assert_eq!(m.valid_pages(), 0);
-            assert!(m.is_consistent());
-        }
+        let mut m = Mapping::new(10, &geo());
+        m.map(3, ppa(0, 0, PageType::Lsb));
+        assert_eq!(m.unmap(3), Some(ppa(0, 0, PageType::Lsb)));
+        assert_eq!(m.lookup(3), None);
+        assert_eq!(m.valid_pages(), 0);
+        assert!(m.is_consistent());
     }
 
     #[test]
     fn valid_in_block_filters_and_sorts() {
-        for mut m in both(10) {
-            m.map(1, ppa(0, 1, PageType::Lsb));
-            m.map(2, ppa(0, 0, PageType::Msb));
-            m.map(3, ppa(1, 0, PageType::Lsb));
-            let blk0 = BlockAddr::new(ChipId(0), PlaneId(0), BlockId(0));
-            let v: Vec<_> = m.valid_in_block(blk0).collect();
-            assert_eq!(v.len(), 2);
-            assert_eq!(m.valid_in_block_count(blk0), 2);
-            assert_eq!(v[0].0, 2, "WL0 before WL1");
-        }
+        let mut m = Mapping::new(10, &geo());
+        m.map(1, ppa(0, 1, PageType::Lsb));
+        m.map(2, ppa(0, 0, PageType::Msb));
+        m.map(3, ppa(1, 0, PageType::Lsb));
+        let blk0 = BlockAddr::new(ChipId(0), PlaneId(0), BlockId(0));
+        let v: Vec<_> = m.valid_in_block(blk0).collect();
+        assert_eq!(v.len(), 2);
+        assert_eq!(m.valid_in_block_count(blk0), 2);
+        assert_eq!(v[0].0, 2, "WL0 before WL1");
     }
 
     #[test]
     fn invalidate_block_sweeps_everything() {
-        for mut m in both(10) {
-            m.map(1, ppa(0, 0, PageType::Lsb));
-            m.map(2, ppa(0, 1, PageType::Csb));
-            m.invalidate_block(BlockAddr::new(ChipId(0), PlaneId(0), BlockId(0)));
-            assert_eq!(m.valid_pages(), 0);
-            assert_eq!(m.lookup(1), None);
-            assert!(m.is_consistent());
-        }
+        let mut m = Mapping::new(10, &geo());
+        m.map(1, ppa(0, 0, PageType::Lsb));
+        m.map(2, ppa(0, 1, PageType::Csb));
+        m.invalidate_block(BlockAddr::new(ChipId(0), PlaneId(0), BlockId(0)));
+        assert_eq!(m.valid_pages(), 0);
+        assert_eq!(m.lookup(1), None);
+        assert!(m.is_consistent());
     }
 
     #[test]

@@ -11,10 +11,18 @@
 //! W,4096,8       # optional third column: run length in pages
 //! W,4096,8,2     # optional fourth column: tenant id (defaults to 0)
 //! ```
+//!
+//! A run expands to one request per page, so its length is capped at
+//! 65 536 pages (`MAX_RUN_PAGES`); longer runs are rejected as malformed.
 
 use crate::request::{IoOp, IoRequest};
 use std::fmt;
 use std::io::BufRead;
+
+/// Longest run (third column) one trace line may request, in pages: 256 MiB
+/// of 4 KiB pages. Bounds the memory a single line can make the parser
+/// allocate; split longer transfers across several lines.
+const MAX_RUN_PAGES: u64 = 65_536;
 
 /// Errors from trace parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,6 +142,12 @@ pub fn parse_trace_tenants<R: BufRead>(reader: R) -> Result<Vec<TracedRequest>, 
                 reason: "length must be at least 1".to_string(),
             });
         }
+        if len > MAX_RUN_PAGES {
+            return Err(TraceError::Malformed {
+                line: line_no,
+                reason: format!("run length {len} exceeds {MAX_RUN_PAGES} pages"),
+            });
+        }
         if lpn.checked_add(len - 1).is_none() {
             return Err(TraceError::Malformed {
                 line: line_no,
@@ -186,6 +200,18 @@ mod tests {
         assert_eq!(reqs[2], IoRequest::trim(10));
         assert_eq!(reqs[3], IoRequest::write(20));
         assert_eq!(reqs[5], IoRequest::write(22));
+    }
+
+    #[test]
+    fn run_length_is_capped_at_max_run_pages() {
+        let err = parse_trace(b"W,0,65537\n" as &[u8]).unwrap_err();
+        assert!(matches!(err, TraceError::Malformed { line: 1, .. }), "{err}");
+        assert!(err.to_string().contains("exceeds"));
+        let err = parse_trace(b"W,0,100000000000\n" as &[u8]).unwrap_err();
+        assert!(matches!(err, TraceError::Malformed { line: 1, .. }));
+        let reqs = parse_trace(b"W,0,65536\n" as &[u8]).unwrap();
+        assert_eq!(reqs.len() as u64, MAX_RUN_PAGES);
+        assert_eq!(reqs[65_535], IoRequest::write(65_535));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! model of the logical address space under arbitrary request streams, and
 //! the dense page mapping must agree with its naive `HashMap` oracle.
 
-use flash_model::{CellType, Geometry};
+use flash_model::{BlockAddr, CellType, Geometry, PageAddr};
 use ftl::{FtlConfig, IoRequest, Mapping, OrganizationScheme, Ssd};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -112,6 +112,53 @@ proptest! {
     }
 }
 
+/// The `HashMap` reference model of [`Mapping`]: both directions in hash
+/// maps, every per-block query a scan over all mapped pages. Slow but
+/// obviously correct, which makes it the dense store's oracle.
+#[derive(Debug, Default)]
+struct NaiveMapping {
+    l2p: HashMap<u64, PageAddr>,
+    p2l: HashMap<PageAddr, u64>,
+}
+
+impl NaiveMapping {
+    fn lookup(&self, lpn: u64) -> Option<PageAddr> {
+        self.l2p.get(&lpn).copied()
+    }
+
+    fn reverse(&self, ppa: PageAddr) -> Option<u64> {
+        self.p2l.get(&ppa).copied()
+    }
+
+    fn map(&mut self, lpn: u64, ppa: PageAddr) {
+        if let Some(old) = self.l2p.insert(lpn, ppa) {
+            self.p2l.remove(&old);
+        }
+        let prev = self.p2l.insert(ppa, lpn);
+        assert!(prev.is_none(), "physical page written twice without erase");
+    }
+
+    fn unmap(&mut self, lpn: u64) -> Option<PageAddr> {
+        let old = self.l2p.remove(&lpn)?;
+        self.p2l.remove(&old);
+        Some(old)
+    }
+
+    fn invalidate_block(&mut self, block: BlockAddr) {
+        for (lpn, _) in self.valid_in_block(block) {
+            self.unmap(lpn);
+        }
+    }
+
+    /// Valid pages of `block` in `(lwl, page)` program order.
+    fn valid_in_block(&self, block: BlockAddr) -> Vec<(u64, PageAddr)> {
+        let mut v: Vec<(u64, PageAddr)> =
+            self.p2l.iter().filter(|(p, _)| p.wl.block == block).map(|(p, &l)| (l, *p)).collect();
+        v.sort_by_key(|&(_, p)| (p.wl.lwl, p.page.index()));
+        v
+    }
+}
+
 /// One step against the mapping stores: map a logical page somewhere, trim
 /// one, or sweep a whole block (what GC does after relocating + erasing).
 #[derive(Debug, Clone, Copy)]
@@ -144,26 +191,26 @@ proptest! {
     fn dense_mapping_agrees_with_naive_oracle(
         steps in arb_map_steps(100, 144, 12, 300),
     ) {
-        // Dense store (flat p2l + per-block counters) vs the original
-        // HashMap store, driven through identical random write/trim/GC
-        // sequences: every query must agree at every step boundary.
+        // Dense store (flat p2l + per-block counters) vs the HashMap
+        // model, driven through identical random write/trim/GC sequences:
+        // every query must agree after every step.
         let geo = Geometry::new(2, 2, 3, 2, 2, CellType::Tlc);
         let blocks: Vec<_> = geo.blocks().collect();
         let ppb = geo.pages_per_block() as usize;
         prop_assert_eq!(blocks.len() * ppb, 144);
+        let pages: Vec<PageAddr> =
+            (0..144).map(|i| geo.page_at_offset(blocks[i / ppb], i % ppb)).collect();
         let mut dense = Mapping::new(100, &geo);
-        let mut naive = Mapping::new_naive(100);
-        for step in steps {
+        let mut naive = NaiveMapping::default();
+        for (i, step) in steps.into_iter().enumerate() {
             match step {
                 MapStep::Map { lpn, page } => {
-                    let block = blocks[page / ppb];
-                    let ppa = geo.page_at_offset(block, page % ppb);
                     // A physical page is programmed once per erase cycle;
-                    // both stores must agree on whether this one is taken.
-                    prop_assert_eq!(dense.is_valid(ppa), naive.is_valid(ppa));
-                    if !dense.is_valid(ppa) {
-                        dense.map(lpn, ppa);
-                        naive.map(lpn, ppa);
+                    // the reverse-map check below already pinned that both
+                    // stores agree on whether this one is taken.
+                    if !dense.is_valid(pages[page]) {
+                        dense.map(lpn, pages[page]);
+                        naive.map(lpn, pages[page]);
                     }
                 }
                 MapStep::Unmap { lpn } => {
@@ -174,19 +221,22 @@ proptest! {
                     naive.invalidate_block(blocks[block]);
                 }
             }
-            prop_assert_eq!(dense.valid_pages(), naive.valid_pages());
+            prop_assert_eq!(dense.valid_pages(), naive.p2l.len(), "step {}", i);
+            for &ppa in &pages {
+                prop_assert_eq!(dense.reverse(ppa), naive.reverse(ppa), "step {}: reverse({:?})", i, ppa);
+                prop_assert_eq!(dense.is_valid(ppa), naive.reverse(ppa).is_some());
+            }
+            for &b in &blocks {
+                let d: Vec<_> = dense.valid_in_block(b).collect();
+                let n = naive.valid_in_block(b);
+                prop_assert_eq!(dense.valid_in_block_count(b), n.len(), "step {}: count({:?})", i, b);
+                prop_assert_eq!(d, n, "step {}: valid_in_block({:?})", i, b);
+            }
+            for lpn in 0..100 {
+                prop_assert_eq!(dense.lookup(lpn), naive.lookup(lpn), "step {}: lookup({})", i, lpn);
+            }
         }
         prop_assert!(dense.is_consistent());
-        prop_assert!(naive.is_consistent());
-        for lpn in 0..100 {
-            prop_assert_eq!(dense.lookup(lpn), naive.lookup(lpn), "lookup({}) differs", lpn);
-        }
-        for &b in &blocks {
-            prop_assert_eq!(dense.valid_in_block_count(b), naive.valid_in_block_count(b));
-            let d: Vec<_> = dense.valid_in_block(b).collect();
-            let n: Vec<_> = naive.valid_in_block(b).collect();
-            prop_assert_eq!(d, n, "valid_in_block({:?}) differs", b);
-        }
     }
 }
 

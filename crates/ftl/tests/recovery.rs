@@ -4,8 +4,9 @@
 //! super word-line program completes, so after a sudden power loss at an
 //! *arbitrary* flash-op index, recovery must rebuild exactly the mapping
 //! the device held in RAM at the instant of the crash — nothing lost,
-//! no phantom mappings — and the dense mapping must stay bit-identical
-//! to the naive `HashMap` oracle through crash + recovery + resumed work.
+//! no phantom mappings — and the mapping must keep its L2P/P2L bijection
+//! and per-block valid counters exact through crash + recovery + resumed
+//! work.
 
 use flash_model::FaultConfig;
 use ftl::{
@@ -22,25 +23,34 @@ fn apply(dev: &mut Ssd, req: &IoRequest) -> Result<(), FtlError> {
     }
 }
 
-/// Drives both devices in lockstep until either the stream ends or power
-/// is lost on both at the same op. Returns the index to resume from.
-fn drive_lockstep(
-    dense: &mut Ssd,
-    naive: &mut Ssd,
-    reqs: &[IoRequest],
-) -> Result<usize, TestCaseError> {
+/// Drives the device until either the stream ends or power is lost,
+/// checking the mapping's invariants every 64 ops and at the stop. Returns
+/// the index to resume from.
+fn drive_checked(dev: &mut Ssd, reqs: &[IoRequest]) -> Result<usize, TestCaseError> {
     for (i, req) in reqs.iter().enumerate() {
-        let d = apply(dense, req);
-        let n = apply(naive, req);
-        match (d, n) {
-            (Ok(()), Ok(())) => {}
-            (Err(FtlError::PowerLoss), Err(FtlError::PowerLoss)) => return Ok(i),
-            (d, n) => {
-                prop_assert!(false, "op {} diverged: dense {:?} naive {:?}", i, d, n);
+        if i % 64 == 0 {
+            prop_assert!(dev.mapping().is_consistent(), "mapping inconsistent before op {}", i);
+        }
+        match apply(dev, req) {
+            Ok(()) => {}
+            Err(FtlError::PowerLoss) => {
+                prop_assert!(dev.mapping().is_consistent(), "mapping inconsistent at the crash");
+                return Ok(i);
             }
+            Err(e) => prop_assert!(false, "op {} failed: {:?}", i, e),
         }
     }
+    prop_assert!(dev.mapping().is_consistent(), "mapping inconsistent at the end of the stream");
     Ok(reqs.len())
+}
+
+/// Replays the rest of the stream after recovery (the crash fired once,
+/// so it must run to the end) and checks the mapping once more.
+fn resume_checked(dev: &mut Ssd, reqs: &[IoRequest]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(drive_checked(dev, reqs)?, reqs.len(), "power lost twice");
+    dev.flush().unwrap();
+    prop_assert!(dev.mapping().is_consistent(), "mapping inconsistent after the resumed run");
+    Ok(())
 }
 
 fn schemes() -> [OrganizationScheme; 3] {
@@ -66,10 +76,8 @@ proptest! {
         config.scheme = schemes()[scheme_idx];
         config.spor.checkpoint_interval = intervals[interval_idx];
         config.spor.crash = Some(CrashPoint::from_seed(crash_seed, 2500));
-        let mut dense = Ssd::new(config.clone(), 11).unwrap();
-        let mut naive = Ssd::new(config, 11).unwrap();
-        naive.use_naive_mapping_for_benchmarks();
-        let info = dense.geometry_info();
+        let mut dev = Ssd::new(config, 11).unwrap();
+        let info = dev.geometry_info();
         let mut reqs = Workload::RandomWrite { span: 0.6, read_fraction: 0.15 }
             .generate(&info, (info.logical_pages * 3) as usize, workload_seed);
         for (i, r) in reqs.iter_mut().enumerate() {
@@ -77,39 +85,24 @@ proptest! {
                 *r = IoRequest::trim(r.lpn);
             }
         }
-        let resume = drive_lockstep(&mut dense, &mut naive, &reqs)?;
+        let resume = drive_checked(&mut dev, &reqs)?;
         // Snapshot RAM at the crash: this IS the set of acknowledged data.
-        let ram: Vec<_> = (0..info.logical_pages).map(|l| dense.mapping().lookup(l)).collect();
-        let ram_valid = dense.valid_pages();
-        let dense_report = dense.recover().unwrap();
-        let naive_report = naive.recover().unwrap();
-        prop_assert_eq!(dense_report, naive_report);
+        let ram: Vec<_> = (0..info.logical_pages).map(|l| dev.mapping().lookup(l)).collect();
+        let ram_valid = dev.valid_pages();
+        dev.recover().unwrap();
+        prop_assert!(dev.mapping().is_consistent(), "mapping inconsistent after recover()");
         for lpn in 0..info.logical_pages {
-            prop_assert_eq!(dense.mapping().lookup(lpn), ram[lpn as usize], "dense lpn {}", lpn);
-            prop_assert_eq!(naive.mapping().lookup(lpn), ram[lpn as usize], "naive lpn {}", lpn);
+            prop_assert_eq!(dev.mapping().lookup(lpn), ram[lpn as usize], "lpn {}", lpn);
         }
-        prop_assert_eq!(dense.valid_pages(), ram_valid, "valid counters rebuilt");
-        prop_assert_eq!(naive.valid_pages(), ram_valid);
+        prop_assert_eq!(dev.valid_pages(), ram_valid, "valid counters rebuilt");
         // Every recovered page is readable with the right identity (the
         // device debug-asserts the OOB/backing tag on every read).
         for (lpn, mapped) in ram.iter().enumerate() {
-            let got = dense.read(lpn as u64).unwrap();
+            let got = dev.read(lpn as u64).unwrap();
             prop_assert_eq!(got.is_some(), mapped.is_some(), "readability of lpn {}", lpn);
         }
-        // The device keeps working past the crash, and the dense store
-        // keeps agreeing with the oracle. (The readability probe above
-        // touched only dense, but reads are pure here — no faults, no RNG
-        // draws, no mapping changes — so the pair is still in lockstep.)
-        for req in &reqs[resume..] {
-            apply(&mut dense, req).unwrap();
-            apply(&mut naive, req).unwrap();
-        }
-        dense.flush().unwrap();
-        naive.flush().unwrap();
-        for lpn in 0..info.logical_pages {
-            prop_assert_eq!(dense.mapping().lookup(lpn), naive.mapping().lookup(lpn));
-        }
-        prop_assert_eq!(dense.valid_pages(), naive.valid_pages());
+        // The device keeps working past the crash with a consistent mapping.
+        resume_checked(&mut dev, &reqs[resume..])?;
     }
 }
 
@@ -137,39 +130,26 @@ proptest! {
         config.gc_budget = GcBudget::Sliced { slice_us: slices[slice_idx] };
         config.spor.checkpoint_interval = 8;
         config.spor.crash = Some(CrashPoint::from_seed(crash_seed, 2500));
-        let mut dense = Ssd::new(config.clone(), 11).unwrap();
-        let mut naive = Ssd::new(config, 11).unwrap();
-        naive.use_naive_mapping_for_benchmarks();
-        let info = dense.geometry_info();
+        let mut dev = Ssd::new(config, 11).unwrap();
+        let info = dev.geometry_info();
         let reqs = Workload::RandomWrite { span: 0.6, read_fraction: 0.1 }
             .generate(&info, (info.logical_pages * 3) as usize, workload_seed);
-        let resume = drive_lockstep(&mut dense, &mut naive, &reqs)?;
-        let ram: Vec<_> = (0..info.logical_pages).map(|l| dense.mapping().lookup(l)).collect();
-        let dense_report = dense.recover().unwrap();
-        let naive_report = naive.recover().unwrap();
-        prop_assert_eq!(dense_report, naive_report);
+        let resume = drive_checked(&mut dev, &reqs)?;
+        let ram: Vec<_> = (0..info.logical_pages).map(|l| dev.mapping().lookup(l)).collect();
+        dev.recover().unwrap();
+        prop_assert!(dev.mapping().is_consistent(), "mapping inconsistent after recover()");
         for lpn in 0..info.logical_pages {
-            prop_assert_eq!(dense.mapping().lookup(lpn), ram[lpn as usize], "dense lpn {}", lpn);
-            prop_assert_eq!(naive.mapping().lookup(lpn), ram[lpn as usize], "naive lpn {}", lpn);
+            prop_assert_eq!(dev.mapping().lookup(lpn), ram[lpn as usize], "lpn {}", lpn);
         }
         // Every recovered page reads back under the right identity (the
         // device debug-asserts the OOB/backing tag on every read).
         for (lpn, mapped) in ram.iter().enumerate() {
-            let got = dense.read(lpn as u64).unwrap();
+            let got = dev.read(lpn as u64).unwrap();
             prop_assert_eq!(got.is_some(), mapped.is_some(), "readability of lpn {}", lpn);
         }
         // The parked job's cursors died with RAM; the device re-selects the
         // victim and keeps collecting through the rest of the workload.
-        for req in &reqs[resume..] {
-            apply(&mut dense, req).unwrap();
-            apply(&mut naive, req).unwrap();
-        }
-        dense.flush().unwrap();
-        naive.flush().unwrap();
-        for lpn in 0..info.logical_pages {
-            prop_assert_eq!(dense.mapping().lookup(lpn), naive.mapping().lookup(lpn));
-        }
-        prop_assert_eq!(dense.valid_pages(), naive.valid_pages());
+        resume_checked(&mut dev, &reqs[resume..])?;
     }
 }
 
@@ -181,8 +161,8 @@ proptest! {
     /// can land *inside* a patrol pass — refreshes staged but not flushed,
     /// cursors parked in RAM. Cursors and the in-flight pass die with RAM
     /// (the pass merely restarts after boot); acknowledged data must still
-    /// recover exactly to the RAM mapping, in lockstep with the naive
-    /// oracle, and every live page must read back.
+    /// recover exactly to the RAM mapping, with a consistent mapping, and
+    /// every live page must read back.
     #[test]
     fn recovery_survives_crashes_inside_a_patrol_pass(
         crash_seed in any::<u64>(),
@@ -209,45 +189,26 @@ proptest! {
                 order: PatrolOrder::SlowPoolFirst,
             },
         };
-        let mut dense = Ssd::new(config.clone(), 11).unwrap();
-        let mut naive = Ssd::new(config, 11).unwrap();
-        naive.use_naive_mapping_for_benchmarks();
-        let info = dense.geometry_info();
+        let mut dev = Ssd::new(config, 11).unwrap();
+        let info = dev.geometry_info();
         let reqs = Workload::RandomWrite { span: 0.6, read_fraction: 0.1 }
             .generate(&info, (info.logical_pages * 3) as usize, workload_seed);
-        let resume = drive_lockstep(&mut dense, &mut naive, &reqs)?;
-        let ram: Vec<_> = (0..info.logical_pages).map(|l| dense.mapping().lookup(l)).collect();
-        let dense_report = dense.recover().unwrap();
-        let naive_report = naive.recover().unwrap();
-        prop_assert_eq!(dense_report, naive_report);
+        let resume = drive_checked(&mut dev, &reqs)?;
+        let ram: Vec<_> = (0..info.logical_pages).map(|l| dev.mapping().lookup(l)).collect();
+        dev.recover().unwrap();
+        prop_assert!(dev.mapping().is_consistent(), "mapping inconsistent after recover()");
         for lpn in 0..info.logical_pages {
-            prop_assert_eq!(dense.mapping().lookup(lpn), ram[lpn as usize], "dense lpn {}", lpn);
-            prop_assert_eq!(naive.mapping().lookup(lpn), ram[lpn as usize], "naive lpn {}", lpn);
+            prop_assert_eq!(dev.mapping().lookup(lpn), ram[lpn as usize], "lpn {}", lpn);
         }
         // No silent data loss: every page mapped at the crash reads back
         // after recovery (reactively refreshed if it rotted meanwhile).
         for (lpn, mapped) in ram.iter().enumerate() {
-            let got = dense.read(lpn as u64).unwrap();
+            let got = dev.read(lpn as u64).unwrap();
             prop_assert_eq!(got.is_some(), mapped.is_some(), "readability of lpn {}", lpn);
         }
-        // The scrubber re-arms from scratch and the pair stays in lockstep
-        // through the rest of the workload. (The readability probe above
-        // may have refreshed pages on dense only, so re-sync the oracle by
-        // driving the same reads through it first.)
-        for (lpn, mapped) in ram.iter().enumerate() {
-            let got = naive.read(lpn as u64).unwrap();
-            prop_assert_eq!(got.is_some(), mapped.is_some(), "naive readability of lpn {}", lpn);
-        }
-        for req in &reqs[resume..] {
-            apply(&mut dense, req).unwrap();
-            apply(&mut naive, req).unwrap();
-        }
-        dense.flush().unwrap();
-        naive.flush().unwrap();
-        for lpn in 0..info.logical_pages {
-            prop_assert_eq!(dense.mapping().lookup(lpn), naive.mapping().lookup(lpn));
-        }
-        prop_assert_eq!(dense.valid_pages(), naive.valid_pages());
+        // The scrubber re-arms from scratch and the mapping stays
+        // consistent through the rest of the workload.
+        resume_checked(&mut dev, &reqs[resume..])?;
     }
 }
 
@@ -259,9 +220,8 @@ proptest! {
     /// read's reactive restage but before the flush that makes the fresh
     /// copy durable. The acknowledged mapping must recover exactly (under
     /// the page's old identity when the refreshed copy never programmed),
-    /// parity pages must never alias into the L2P, and the device stays in
-    /// lockstep with the naive oracle through crash + recovery + resumed
-    /// work.
+    /// parity pages must never alias into the L2P, and the mapping stays
+    /// consistent through crash + recovery + resumed work.
     #[test]
     fn recovery_with_active_parity_crashes_mid_rebuild_safely(
         crash_seed in any::<u64>(),
@@ -282,46 +242,29 @@ proptest! {
         };
         config.spor.checkpoint_interval = 8;
         config.spor.crash = Some(CrashPoint::from_seed(crash_seed, 2500));
-        let mut dense = Ssd::new(config.clone(), 11).unwrap();
-        let mut naive = Ssd::new(config, 11).unwrap();
-        naive.use_naive_mapping_for_benchmarks();
-        let info = dense.geometry_info();
+        let mut dev = Ssd::new(config, 11).unwrap();
+        let info = dev.geometry_info();
         let reqs = Workload::RandomWrite { span: 0.6, read_fraction: 0.2 }
             .generate(&info, (info.logical_pages * 3) as usize, workload_seed);
-        let resume = drive_lockstep(&mut dense, &mut naive, &reqs)?;
-        let ram: Vec<_> = (0..info.logical_pages).map(|l| dense.mapping().lookup(l)).collect();
-        let dense_report = dense.recover().unwrap();
-        let naive_report = naive.recover().unwrap();
-        prop_assert_eq!(dense_report, naive_report);
+        let resume = drive_checked(&mut dev, &reqs)?;
+        let ram: Vec<_> = (0..info.logical_pages).map(|l| dev.mapping().lookup(l)).collect();
+        dev.recover().unwrap();
+        prop_assert!(dev.mapping().is_consistent(), "mapping inconsistent after recover()");
         for lpn in 0..info.logical_pages {
-            prop_assert_eq!(dense.mapping().lookup(lpn), ram[lpn as usize], "dense lpn {}", lpn);
-            prop_assert_eq!(naive.mapping().lookup(lpn), ram[lpn as usize], "naive lpn {}", lpn);
+            prop_assert_eq!(dev.mapping().lookup(lpn), ram[lpn as usize], "lpn {}", lpn);
         }
         // Every recovered page reads back under the right identity — the
         // device debug-asserts the OOB/backing tag on every read, so a
-        // parity page aliased into the L2P cannot hide. Reads on this
-        // media can restage (uncorrectable -> rebuild -> refresh), so the
-        // same reads go through the oracle to keep the pair in lockstep.
+        // parity page aliased into the L2P cannot hide.
         for (lpn, mapped) in ram.iter().enumerate() {
-            let got = dense.read(lpn as u64).unwrap();
+            let got = dev.read(lpn as u64).unwrap();
             prop_assert_eq!(got.is_some(), mapped.is_some(), "readability of lpn {}", lpn);
-            let got = naive.read(lpn as u64).unwrap();
-            prop_assert_eq!(got.is_some(), mapped.is_some(), "naive readability of lpn {}", lpn);
         }
-        for req in &reqs[resume..] {
-            apply(&mut dense, req).unwrap();
-            apply(&mut naive, req).unwrap();
-        }
-        dense.flush().unwrap();
-        naive.flush().unwrap();
-        for lpn in 0..info.logical_pages {
-            prop_assert_eq!(dense.mapping().lookup(lpn), naive.mapping().lookup(lpn));
-        }
-        prop_assert_eq!(dense.valid_pages(), naive.valid_pages());
+        resume_checked(&mut dev, &reqs[resume..])?;
         // Rebuild accounting stayed coherent through the crash: every
         // uncorrectable read produced exactly one attempt, every attempt
         // one verdict.
-        let s = dense.stats();
+        let s = dev.stats();
         prop_assert_eq!(s.rebuilds_ok + s.rebuilds_failed, s.uncorrectable_reads);
     }
 }

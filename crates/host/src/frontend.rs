@@ -2,9 +2,11 @@
 
 use crate::arbiter::{Arbiter, Arbitration};
 use crate::queue::{Queued, TenantSpec, TenantState, TenantStats};
-use ftl::sched::{Arena, CalendarQueue};
+use ftl::sched::Arena;
 use ftl::trace::TracedRequest;
 use ftl::{IoOp, IoRequest, QosClass, Ssd, TimedOutcome};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// A multi-queue host frontend: one submission queue per tenant, feeding
 /// a single [`Ssd`] through a deterministic event loop.
@@ -131,7 +133,7 @@ impl HostFrontend {
     /// Replays every submitted stream to completion.
     ///
     /// The drain is event-driven: host arrivals live as events in a
-    /// calendar queue, readiness is a packed bitmask updated on queue
+    /// min-heap, readiness is a packed bitmask updated on queue
     /// transitions, queue records are arena-allocated, and per-tenant
     /// latency samples accumulate in vectors folded once at the end.
     /// Admission runs exactly when the queue state can change — after the
@@ -183,11 +185,11 @@ impl HostFrontend {
                 // Every queue is empty: jump to the next arrival event, or
                 // stop once all streams are drained. (No queue ready means
                 // no tenant is depth-blocked, so every pending arrival has
-                // an event in the calendar.)
-                let Some(ev) = run.arrivals.pop_min() else {
+                // an event in the heap.)
+                let Some(Reverse(ev)) = run.arrivals.pop() else {
                     return Ok(());
                 };
-                let i = ev.payload as usize;
+                let i = ev.tenant;
                 run.scheduled[i] = false;
                 self.now = self.now.max(ev.time);
                 self.admit_one(run, i);
@@ -279,7 +281,8 @@ impl HostFrontend {
         }
         if !run.scheduled[i] && state.sq.len() < state.spec.queue_depth {
             if let Some(t) = state.next_arrival() {
-                run.arrivals.push(t, u32::try_from(i).expect("tenant count fits u32"));
+                run.arrivals.push(Reverse(Arrival { time: t, seq: run.next_seq, tenant: i }));
+                run.next_seq += 1;
                 run.scheduled[i] = true;
             }
         }
@@ -287,9 +290,9 @@ impl HostFrontend {
 
     /// Fires every arrival event due by `self.now`, admitting its tenant.
     fn fire_due_arrivals(&mut self, run: &mut Drain) {
-        while run.arrivals.peek().is_some_and(|ev| ev.time <= self.now) {
-            let ev = run.arrivals.pop_min().expect("peeked event exists");
-            let i = ev.payload as usize;
+        while run.arrivals.peek().is_some_and(|Reverse(ev)| ev.time <= self.now) {
+            let Reverse(ev) = run.arrivals.pop().expect("peeked event exists");
+            let i = ev.tenant;
             run.scheduled[i] = false;
             self.admit_one(run, i);
         }
@@ -337,10 +340,45 @@ impl HostFrontend {
     }
 }
 
-/// Working set of one drain: the host-arrival calendar, the packed
-/// readiness mask and the per-tenant latency accumulators.
+/// A tenant's next host arrival, pending in the drain's min-heap.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    /// Absolute arrival time, µs.
+    time: f64,
+    /// Push order; equal times pop first-pushed first.
+    seq: u64,
+    tenant: usize,
+}
+
+/// Ordered by `time` (`f64::total_cmp`), then `seq`, so the pop order is
+/// deterministic and never panics on NaN.
+impl Ord for Arrival {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.time.total_cmp(&other.time).then(self.seq.cmp(&other.seq))
+    }
+}
+
+impl PartialOrd for Arrival {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Arrival {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Arrival {}
+
+/// Working set of one drain: the host-arrival heap, the packed readiness
+/// mask and the per-tenant latency accumulators.
 struct Drain {
-    arrivals: CalendarQueue,
+    /// Pending arrivals, earliest first.
+    arrivals: BinaryHeap<Reverse<Arrival>>,
+    /// Sequence number of the next pushed arrival.
+    next_seq: u64,
     /// Whether tenant `i` has an arrival event queued (at most one each).
     scheduled: Vec<bool>,
     ready: Vec<u64>,
@@ -363,7 +401,8 @@ impl Drain {
             }
         }
         Drain {
-            arrivals: CalendarQueue::new(),
+            arrivals: BinaryHeap::with_capacity(n),
+            next_seq: 0,
             scheduled: vec![false; n],
             ready: vec![0u64; n.div_ceil(64)],
             lc_mask,
@@ -386,6 +425,19 @@ mod tests {
     fn timed_writes(ssd: &Ssd, n: usize, seed: u64, mean_us: f64) -> Vec<(f64, IoRequest)> {
         let reqs = Workload::random_write(0.5).generate(&ssd.geometry_info(), n, seed);
         poisson_arrivals(&reqs, mean_us, seed)
+    }
+
+    #[test]
+    fn arrivals_pop_by_time_then_push_order() {
+        let mut heap = BinaryHeap::new();
+        for (seq, (time, tenant)) in
+            [(30.0, 0), (5.0, 1), (5.0, 2), (10.0, 3), (5.0, 4)].into_iter().enumerate()
+        {
+            heap.push(Reverse(Arrival { time, seq: seq as u64, tenant }));
+        }
+        let order: Vec<usize> =
+            std::iter::from_fn(|| heap.pop().map(|Reverse(a)| a.tenant)).collect();
+        assert_eq!(order, vec![1, 2, 4, 3, 0], "time first, ties in push order");
     }
 
     #[test]

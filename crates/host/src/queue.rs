@@ -65,8 +65,13 @@ impl TenantSpec {
     }
 
     /// Caps the collection debt this tenant's commands may be charged to
-    /// `debt_us` µs per `window_us`-long window (both must be positive and
-    /// finite).
+    /// `debt_us` µs per `window_us`-long window. `debt_us` must be `>= 0`
+    /// (zero forbids any charged collection work), `window_us` must be
+    /// `> 0`, and both must be finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either bound is violated.
     #[must_use]
     pub fn gc_slo(mut self, debt_us: f64, window_us: f64) -> Self {
         assert!(debt_us >= 0.0 && debt_us.is_finite(), "debt budget must be finite and >= 0");

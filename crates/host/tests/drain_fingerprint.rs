@@ -1,4 +1,4 @@
-//! The frontend's oracle contract: the event-driven drain (calendar-queue
+//! The frontend's oracle contract: the event-driven drain (min-heap
 //! arrivals, packed readiness mask, arena-backed records, SoA sample fold)
 //! must reproduce the dispatch order, per-tenant stats and device stats
 //! the original re-scanning stepper drain recorded, bit for bit — under
