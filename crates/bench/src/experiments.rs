@@ -13,7 +13,7 @@ use ftl::{
 };
 use host::{Arbitration, HostFrontend, TenantSpec};
 use pvcheck::assembly::Assembler;
-use pvcheck::{overhead, Characterizer};
+use pvcheck::overhead;
 
 /// Result rows of Table I-style comparisons: every scheme with its
 /// reduction and improvement percentage against the random baseline.
@@ -1611,13 +1611,6 @@ pub fn parity_soak_experiment(
         workers,
     };
     fleet::run_fleet_soak(&config).expect("fleet soak fits the devices")
-}
-
-/// The quick pool used by doc examples and smoke tests.
-#[must_use]
-pub fn quick_pool(params: &ExperimentParams) -> pvcheck::BlockPool {
-    let array = FlashArray::new(params.config.clone(), params.group_seeds[0]);
-    Characterizer::new(&params.config).snapshot(array.latency_model(), params.pe_points[0])
 }
 
 #[cfg(test)]

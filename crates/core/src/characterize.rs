@@ -56,8 +56,7 @@ impl Characterizer {
     /// characterization pattern (zeros), as on the real testbed.
     ///
     /// Blocks that die mid-characterization (media failure on faulty
-    /// arrays) are skipped; use
-    /// [`Characterizer::characterize_array_tolerant`] to learn which.
+    /// arrays) are skipped.
     ///
     /// # Errors
     ///
@@ -76,7 +75,7 @@ impl Characterizer {
     ///
     /// Propagates any non-media flash operation error (media failures are
     /// recorded, not raised).
-    pub fn characterize_array_tolerant(
+    fn characterize_array_tolerant(
         &self,
         array: &mut FlashArray,
     ) -> Result<(BlockPool, Vec<flash_model::BlockAddr>)> {
@@ -119,18 +118,18 @@ impl Characterizer {
     /// The per-block work fans out over all available cores: the latency
     /// model is a pure function of `(seed, address, pe)`, so profiles are
     /// computed in parallel chunks and stitched back in geometry order —
-    /// the result is byte-identical to [`Characterizer::snapshot_serial`]
-    /// (asserted by `snapshot_parallel_matches_serial`).
+    /// the result is byte-identical to the one-thread path (asserted by
+    /// `snapshot_parallel_matches_serial`).
     #[must_use]
     pub fn snapshot(&self, model: &LatencyModel, pe: u32) -> BlockPool {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         self.snapshot_with_threads(model, pe, threads)
     }
 
-    /// [`Characterizer::snapshot`] on one thread (the reference path; also
-    /// the fallback for single-core hosts).
-    #[must_use]
-    pub fn snapshot_serial(&self, model: &LatencyModel, pe: u32) -> BlockPool {
+    /// [`Characterizer::snapshot`] on one thread: the reference path the
+    /// parallel snapshot is checked against.
+    #[cfg(test)]
+    fn snapshot_serial(&self, model: &LatencyModel, pe: u32) -> BlockPool {
         self.snapshot_with_threads(model, pe, 1)
     }
 
@@ -139,13 +138,7 @@ impl Characterizer {
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn snapshot_with_threads(
-        &self,
-        model: &LatencyModel,
-        pe: u32,
-        threads: usize,
-    ) -> BlockPool {
+    fn snapshot_with_threads(&self, model: &LatencyModel, pe: u32, threads: usize) -> BlockPool {
         assert!(threads > 0, "need at least one characterization thread");
         let geo = model.geometry();
         let mut pool = BlockPool::new(self.pool_count(), geo.strings());

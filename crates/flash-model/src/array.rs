@@ -148,12 +148,6 @@ impl FlashArray {
         &self.model
     }
 
-    /// The bit-error-rate model.
-    #[must_use]
-    pub fn ber_model(&self) -> &BerModel {
-        &self.ber
-    }
-
     fn check(&self, addr: BlockAddr) -> Result<usize> {
         if !self.geometry().contains_block(addr) {
             return Err(FlashError::AddressOutOfRange { addr });
@@ -484,27 +478,6 @@ impl FlashArray {
         }
     }
 
-    /// Multi-plane / multi-chip page read.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the list is empty, addresses a plane twice, or any
-    /// page is unwritten.
-    pub fn mp_read(&self, pages: &[PageAddr]) -> Result<(Vec<u64>, MpOutcome)> {
-        if pages.is_empty() {
-            return Err(FlashError::EmptyMultiPlane);
-        }
-        Self::check_mp_distinct(pages.iter().map(|p| p.wl.block))?;
-        let mut member = Vec::with_capacity(pages.len());
-        let mut payloads = Vec::with_capacity(pages.len());
-        for &p in pages {
-            let (d, t) = self.read_page(p)?;
-            payloads.push(d);
-            member.push(t);
-        }
-        Ok((payloads, MpOutcome::from_members(member)))
-    }
-
     /// Adds accelerated wear to one block without data operations — the
     /// simulation counterpart of the paper's chamber cycling between
     /// measurement points.
@@ -517,13 +490,6 @@ impl FlashArray {
         let idx = self.check(addr)?;
         self.blocks[idx].wear.age(cycles);
         Ok(())
-    }
-
-    /// Adds accelerated wear to every block.
-    pub fn age_all(&mut self, cycles: u32) {
-        for b in &mut self.blocks {
-            b.wear.age(cycles);
-        }
     }
 }
 
@@ -605,7 +571,7 @@ mod tests {
         let out = a.mp_program(&wls, &refs).unwrap();
         assert!(out.extra_us >= 0.0);
         let pages: Vec<_> = wls.iter().map(|w| w.page(PageType::Lsb)).collect();
-        let (data, _) = a.mp_read(&pages).unwrap();
+        let data: Vec<u64> = pages.iter().map(|&p| a.read_page(p).unwrap().0).collect();
         assert_eq!(data, vec![1, 4, 7, 10]);
     }
 
@@ -618,13 +584,6 @@ mod tests {
         a.age_block(b, 3000).unwrap();
         let after = a.latency_model().erase_latency_us(b, a.pe_cycles(b).unwrap());
         assert!(after > before, "wear should slow erase: {before} -> {after}");
-    }
-
-    #[test]
-    fn age_all_touches_every_block() {
-        let mut a = array();
-        a.age_all(500);
-        assert_eq!(a.pe_cycles(blk(3, 63)).unwrap(), 500);
     }
 
     #[test]

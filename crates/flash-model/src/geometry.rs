@@ -175,11 +175,6 @@ impl Geometry {
         })
     }
 
-    /// Iterator over the blocks of one plane.
-    pub fn plane_blocks(&self, chip: ChipId, plane: PlaneId) -> impl Iterator<Item = BlockAddr> {
-        (0..self.blocks_per_plane).map(move |b| BlockAddr::new(chip, plane, BlockId(b)))
-    }
-
     /// Iterator over every logical word-line index of a block, in program order.
     pub fn lwls(&self) -> impl Iterator<Item = LwlId> {
         (0..self.lwls_per_block()).map(LwlId)

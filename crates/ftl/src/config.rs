@@ -195,8 +195,6 @@ pub struct FtlConfig {
     /// before yielding ([`GcBudget::Unbounded`], the default, reproduces
     /// the legacy run-to-completion collector bit for bit).
     pub gc_budget: GcBudget,
-    /// Wear-leveling alarm threshold (max-min erase count).
-    pub wear_threshold: u32,
     /// Superblock organization strategy.
     pub scheme: OrganizationScheme,
     /// Data placement policy.
@@ -256,7 +254,6 @@ impl FtlConfig {
             gc_high_watermark: 3,
             gc_policy: GcPolicy::Greedy,
             gc_budget: GcBudget::Unbounded,
-            wear_threshold: 32,
             scheme: OrganizationScheme::Random,
             placement: PlacementPolicy::FunctionBased,
             transfer_us: 10.0,
@@ -311,8 +308,8 @@ impl FtlConfig {
         if self.gc_high_watermark <= self.gc_low_watermark {
             return Err("gc_high_watermark must exceed gc_low_watermark".to_string());
         }
-        if self.transfer_us < 0.0 {
-            return Err("transfer_us must be non-negative".to_string());
+        if !(self.transfer_us.is_finite() && self.transfer_us >= 0.0) {
+            return Err("transfer_us must be finite and non-negative".to_string());
         }
         for (name, p) in [
             ("fault.program_fail_prob", self.fault.program_fail_prob),
@@ -392,7 +389,6 @@ impl Default for FtlConfig {
             gc_high_watermark: 8,
             gc_policy: GcPolicy::Greedy,
             gc_budget: GcBudget::Unbounded,
-            wear_threshold: 32,
             scheme: OrganizationScheme::Random,
             placement: PlacementPolicy::FunctionBased,
             transfer_us: 10.0,
@@ -423,6 +419,14 @@ mod tests {
     fn bad_overprovision_rejected() {
         let cfg = FtlConfig { overprovision: 0.95, ..FtlConfig::small_test() };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_transfer_rejected() {
+        for transfer_us in [f64::NAN, f64::INFINITY, -1.0] {
+            let cfg = FtlConfig { transfer_us, ..FtlConfig::small_test() };
+            assert!(cfg.validate().is_err(), "transfer_us {transfer_us} must be rejected");
+        }
     }
 
     #[test]

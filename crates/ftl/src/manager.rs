@@ -127,12 +127,6 @@ impl BlockManager {
         (0..self.pool_count).map(|p| self.free_in_pool(p)).min().unwrap_or(0)
     }
 
-    /// Total free blocks across pools.
-    #[must_use]
-    pub fn total_free(&self) -> usize {
-        (0..self.pool_count).map(|p| self.free_in_pool(p)).sum()
-    }
-
     /// Permanently removes a block from service (bad-block table). The
     /// block is scrubbed from the free pools and every later
     /// [`BlockManager::free`] of it is ignored.
